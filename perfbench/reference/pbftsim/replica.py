@@ -1,0 +1,763 @@
+"""Crash-fault-tolerant replica running three-phase block consensus.
+
+Each replica keeps a mempool of pending transactions, a log of block
+entries keyed by sequence number, and a view number that designates
+the current primary (view modulo n).  The primary assembles blocks of
+a fixed transaction count, announces them with a block announcement
+carrying only the digest, and ships the content as one relay message
+per transaction (its position travels in the timestamp field).
+Backups vote in the prepare round only once they hold the complete,
+digest-verified content, which guarantees that any prepared entry can
+be refetched from at least one live node.
+
+Vote counting is self-inclusive: a node's own announcement or vote
+counts towards its quorum (2f for prepare, 2f + 1 for commit, with
+f = (n - 1) // 3), so a network of 4 survives one crashed peer.
+
+Two recovery mechanisms cover losses:
+
+  * a periodic retry timer re-requests the oldest stalled entry; the
+    request advertises which content positions the requester already
+    holds (bitmap in the client_request field, capped at 64), and
+    responders answer with their strongest vote plus the missing
+    relays;
+  * a view-change timer fires when pending work has made no progress
+    for a timeout (doubling on every consecutive attempt); a node
+    votes for the next view with one message per prepared entry plus
+    a baseline vote, joins a view change once f + 1 peers vote for
+    it, and the designated new primary announces the new view after
+    2f + 1 votes and re-announces every prepared entry it learned
+    about.  Block assembly stays frozen until those re-announced
+    entries commit, which keeps a transaction from ever being
+    committed under two different blocks.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .netsim import US_PER_S, Engine, TimerKind
+from .wire import (
+    Message,
+    MsgKind,
+    Transaction,
+    block_digest,
+    block_ref_from_digest,
+    commit_quorum,
+    fault_tolerance,
+    prepare_quorum,
+)
+
+__all__ = ["ReplicaConfig", "Entry", "Replica", "EquivocatingReplica"]
+
+_ZERO_DIGEST = bytes(32)
+
+# Kinds that are votes bound to a view; they are suspended while a
+# node has an outstanding view-change vote.
+_VIEW_BOUND = frozenset({MsgKind.PRE_PREPARE, MsgKind.PREPARE,
+                         MsgKind.COMMIT, MsgKind.RETRY_REQUEST})
+
+
+@dataclass(frozen=True)
+class ReplicaConfig:
+    n: int
+    block_size: int
+    retry_period_us: int = 10_000_000
+    view_timeout_us: int = 30_000_000
+    # Sequence window: how many announced-but-uncommitted slots the
+    # primary may have open.  Wide enough that only runaway overload
+    # ever reaches it.
+    max_inflight: int = 256
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("need at least one replica")
+        if self.block_size < 1:
+            raise ValueError("block size must be >= 1")
+        if self.retry_period_us <= 0 or self.view_timeout_us <= 0:
+            raise ValueError("timer periods must be positive")
+        if self.max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
+
+
+@dataclass(slots=True)
+class Entry:
+    """One block slot in the log and its per-view vote state."""
+
+    seq: int
+    view: int
+    digest: bytes | None
+    block_ref: int
+    created_us: int
+    content: dict[int, Transaction] = field(default_factory=dict)
+    tx_ids: list | None = None
+    pre_prepared: bool = False
+    content_ok: bool = False
+    prepares: set = field(default_factory=set)
+    commits: set = field(default_factory=set)
+    sent_commit: bool = False
+    committed: bool = False
+    committed_us: int | None = None
+    active: bool = True
+
+
+class Replica:
+    def __init__(self, node: int, engine: Engine, config: ReplicaConfig,
+                 metrics=None):
+        self.node = node
+        self.engine = engine
+        self.config = config
+        self.metrics = metrics
+        n = config.n
+        self.f = fault_tolerance(n)
+        self.prepare_q = prepare_quorum(n)
+        self.commit_q = commit_quorum(n)
+
+        self.view = 0
+        self.next_seq = 1
+        self.entries: dict[int, Entry] = {}
+        self.open_seqs: set = set()  # active and not yet committed
+        self.mempool: dict[tuple, Transaction] = {}
+        self.committed_ids: set = set()
+        self.frozen_seqs: set = set()
+        # Heights appended so far; grows strictly 1, 2, 3, ... as
+        # commit certificates complete in order.
+        self.ledger: list[int] = []
+        # Sequence numbers below our proposal horizon that were
+        # abandoned by a view change; refilled first.
+        self.hole_seqs: set = set()
+        self.rejected = 0
+
+        self.last_progress_us = 0
+        self.view_started_us = 0
+        self.vc_attempts = 0
+        self.vc_target: int | None = None
+        # target view -> {voter: set of (seq, digest, block_ref)}
+        self.vc_votes: dict[int, dict[int, set]] = {}
+        self._vc_timer_at: int | None = None
+
+        self._handlers = {
+            MsgKind.TX_BROADCAST: self._on_tx,
+            MsgKind.CLIENT_REQUEST: self._on_relay,
+            MsgKind.PRE_PREPARE: self._on_pre_prepare,
+            MsgKind.PREPARE: self._on_prepare,
+            MsgKind.COMMIT: self._on_commit,
+            MsgKind.RETRY_REQUEST: self._on_retry_request,
+            MsgKind.VIEW_CHANGE: self._on_view_change,
+            MsgKind.NEW_VIEW: self._on_new_view,
+        }
+
+    def start(self) -> None:
+        """Arm the periodic retry timer; call once after attaching."""
+        self.engine.schedule_timer(self.node, TimerKind.RETRY,
+                                   self.config.retry_period_us)
+
+    # ------------------------------------------------------------ helpers
+
+    def primary_of(self, view: int) -> int:
+        return view % self.config.n
+
+    @property
+    def is_primary(self) -> bool:
+        return self.primary_of(self.view) == self.node
+
+    def _ms(self, now_us: int) -> int:
+        return now_us // 1000
+
+    def _dup(self):
+        if self.metrics is not None:
+            self.metrics.record_duplicate(self.node)
+
+    def _pending_work(self) -> bool:
+        return bool(self.mempool) or bool(self.open_seqs)
+
+    # --------------------------------------------------------- callbacks
+
+    def on_transaction(self, tx: Transaction, now_us: int) -> None:
+        """A transaction generated locally at this node."""
+        self._admit_tx(tx, now_us, forward=True)
+
+    def on_timer(self, kind: TimerKind, now_us: int) -> None:
+        if kind == TimerKind.RETRY:
+            self._on_retry_timer(now_us)
+        elif kind == TimerKind.VIEW_CHANGE:
+            self._on_vc_timer(now_us)
+
+    def on_message(self, msg: Message, now_us: int) -> None:
+        # A protocol message from a view ahead of ours is proof that a
+        # quorum moved on; catch up before processing it.
+        if msg.view > self.view and msg.kind in _VIEW_BOUND:
+            self._adopt_view(msg.view, now_us)
+        # While our view-change vote is outstanding we stop taking
+        # part in rounds of the view we are abandoning.
+        if (self.vc_target is not None and msg.kind in _VIEW_BOUND
+                and msg.view <= self.view):
+            return
+        self._handlers[msg.kind](msg, now_us)
+
+    # ------------------------------------------------------ transactions
+
+    def _admit_tx(self, tx: Transaction, now_us: int, forward: bool) -> None:
+        tid = tx.tx_id
+        if tid in self.committed_ids or tid in self.mempool:
+            self._dup()
+            return
+        self.mempool[tid] = tx
+        self._arm_vc(now_us)
+        if self.is_primary:
+            self._try_propose(now_us)
+        elif forward:
+            self._forward_tx(tx, self.primary_of(self.view), now_us)
+
+    def _forward_tx(self, tx: Transaction, dst: int, now_us: int) -> None:
+        msg = Message(kind=MsgKind.TX_BROADCAST, sender=self.node,
+                      recipient=dst, view=self.view, seq=0, tx=tx,
+                      timestamp=int(tx.created_at * 1000))
+        self.engine.send(self.node, dst, msg)
+
+    def _on_tx(self, msg: Message, now_us: int) -> None:
+        # Forwarded transactions are held, not re-forwarded: if the
+        # view moved, our own adoption handler re-sends the mempool.
+        self._admit_tx(msg.tx, now_us, forward=False)
+
+    # ---------------------------------------------------------- proposing
+
+    def _try_propose(self, now_us: int) -> None:
+        cfg = self.config
+        while (self.is_primary and not self.frozen_seqs
+               and len(self.open_seqs) < cfg.max_inflight
+               and len(self.mempool) >= cfg.block_size):
+            picked = list(self.mempool.items())[:cfg.block_size]
+            for tid, _ in picked:
+                del self.mempool[tid]
+            txs = [tx for _, tx in picked]
+            if self.hole_seqs:
+                # Refill slots orphaned by a view change first, so
+                # the ledger can drain past them.
+                seq = min(self.hole_seqs)
+                self.hole_seqs.discard(seq)
+            else:
+                seq = self.next_seq
+                self.next_seq += 1
+            tx_ids = [tx.tx_id for tx in txs]
+            digest = block_digest(seq, tx_ids)
+            ref = block_ref_from_digest(digest)
+            entry = Entry(seq=seq, view=self.view, digest=digest,
+                          block_ref=ref, created_us=now_us,
+                          content=dict(enumerate(txs)), tx_ids=tx_ids,
+                          pre_prepared=True, content_ok=True,
+                          prepares={self.node})
+            self.entries[seq] = entry
+            self.open_seqs.add(seq)
+            self._announce(entry, now_us, with_content=True)
+            self._arm_vc(now_us)
+
+    def _announce(self, entry: Entry, now_us: int,
+                  with_content: bool) -> None:
+        head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
+                       recipient=None, view=self.view, seq=entry.seq,
+                       digest=entry.digest, block_ref=entry.block_ref,
+                       timestamp=self._ms(now_us))
+        self.engine.broadcast(self.node, head)
+        if with_content:
+            self._send_content(entry, None, range(len(entry.tx_ids)))
+
+    def _send_content(self, entry: Entry, dst: int | None,
+                      positions) -> None:
+        for pos in positions:
+            tx = entry.content.get(pos)
+            if tx is None:
+                continue
+            relay = Message(kind=MsgKind.CLIENT_REQUEST, sender=self.node,
+                            recipient=dst, view=self.view, seq=entry.seq,
+                            tx=tx, block_ref=entry.block_ref, timestamp=pos)
+            if dst is None:
+                self.engine.broadcast(self.node, relay)
+            else:
+                self.engine.send(self.node, dst, relay)
+
+    # ----------------------------------------------------- block content
+
+    def _on_relay(self, msg: Message, now_us: int) -> None:
+        pos = msg.timestamp
+        if pos >= self.config.block_size:
+            return
+        entry = self.entries.get(msg.seq)
+        if entry is None:
+            entry = Entry(seq=msg.seq, view=msg.view, digest=None,
+                          block_ref=msg.block_ref, created_us=now_us)
+            self.entries[msg.seq] = entry
+            self.open_seqs.add(msg.seq)
+        if entry.content_ok or pos in entry.content:
+            self._dup()
+            return
+        entry.content[pos] = msg.tx
+        self._refresh_content(entry)
+        self._maybe_prepare(entry, now_us)
+
+    def _refresh_content(self, entry: Entry) -> None:
+        b = self.config.block_size
+        if (entry.content_ok or not entry.pre_prepared
+                or len(entry.content) < b):
+            return
+        ids = [entry.content[p].tx_id for p in range(b)]
+        if block_digest(entry.seq, ids) == entry.digest:
+            entry.content_ok = True
+            entry.tx_ids = ids
+        else:
+            entry.content.clear()
+
+    # ------------------------------------------------------ vote rounds
+
+    def _get_or_create(self, msg: Message, now_us: int) -> Entry | None:
+        """Look up the entry for a protocol message, creating a
+        placeholder bound to the message's digest if it is new.
+        Returns None when the message is stale or conflicting."""
+        entry = self.entries.get(msg.seq)
+        if entry is None:
+            entry = Entry(seq=msg.seq, view=msg.view, digest=msg.digest,
+                          block_ref=msg.block_ref, created_us=now_us)
+            self.entries[msg.seq] = entry
+            self.open_seqs.add(msg.seq)
+            return entry
+        if entry.committed:
+            return entry if entry.digest == msg.digest else None
+        if entry.digest is None:
+            entry.digest = msg.digest
+            entry.block_ref = msg.block_ref
+            entry.view = msg.view
+            self._refresh_content(entry)
+            return entry
+        if entry.digest != msg.digest:
+            # Same slot, different block: only a later view can rebind
+            # it (the old binding died with its view).
+            if msg.view > entry.view:
+                entry.digest = msg.digest
+                entry.block_ref = msg.block_ref
+                entry.view = msg.view
+                entry.content.clear()
+                entry.tx_ids = None
+                entry.pre_prepared = False
+                entry.content_ok = False
+                entry.prepares = set()
+                entry.commits = set()
+                entry.sent_commit = False
+                entry.active = True
+                self.open_seqs.add(entry.seq)
+                return entry
+            return None
+        if msg.view > entry.view:
+            # Same block re-announced in a newer view: votes restart.
+            entry.view = msg.view
+            entry.prepares = set()
+            entry.commits = set()
+            entry.sent_commit = False
+            entry.active = True
+            self.open_seqs.add(entry.seq)
+        return entry
+
+    def _on_pre_prepare(self, msg: Message, now_us: int) -> None:
+        if msg.view < self.view:
+            return
+        if msg.sender != self.primary_of(msg.view):
+            self.rejected += 1
+            return
+        entry = self._get_or_create(msg, now_us)
+        if entry is None or msg.view < entry.view:
+            return
+        if entry.committed:
+            # Re-announcement of a block we already committed: vouch
+            # for it in the new round so it reaches quorum without us
+            # re-running the vote.
+            if msg.view > entry.view:
+                entry.view = msg.view
+            self._send_vote(MsgKind.COMMIT, entry, now_us)
+            return
+        entry.pre_prepared = True
+        if msg.sender in entry.prepares:
+            self._dup()
+        entry.prepares.add(msg.sender)
+        self._refresh_content(entry)
+        self._maybe_prepare(entry, now_us)
+        if msg.seq >= self.next_seq:
+            self.next_seq = msg.seq + 1
+        self._arm_vc(now_us)
+
+    def _maybe_prepare(self, entry: Entry, now_us: int) -> None:
+        if (entry.active and entry.view == self.view and entry.pre_prepared
+                and entry.content_ok and not entry.committed
+                and self.node not in entry.prepares):
+            entry.prepares.add(self.node)
+            self._send_vote(MsgKind.PREPARE, entry, now_us)
+        self._check_prepared(entry, now_us)
+
+    def _send_vote(self, kind: MsgKind, entry: Entry, now_us: int,
+                   dst: int | None = None) -> None:
+        msg = Message(kind=kind, sender=self.node, recipient=dst,
+                      view=entry.view, seq=entry.seq, digest=entry.digest,
+                      block_ref=entry.block_ref, timestamp=self._ms(now_us))
+        if dst is None:
+            self.engine.broadcast(self.node, msg)
+        else:
+            self.engine.send(self.node, dst, msg)
+
+    def _on_prepare(self, msg: Message, now_us: int) -> None:
+        if msg.view < self.view:
+            return
+        entry = self._get_or_create(msg, now_us)
+        if entry is None or entry.committed or msg.view < entry.view:
+            return
+        if msg.sender in entry.prepares:
+            self._dup()
+            return
+        entry.prepares.add(msg.sender)
+        self._maybe_prepare(entry, now_us)
+
+    def _check_prepared(self, entry: Entry, now_us: int) -> None:
+        if (entry.active and entry.view == self.view
+                and not entry.sent_commit and entry.content_ok
+                and self.node in entry.prepares
+                and len(entry.prepares) >= max(self.prepare_q, 1)):
+            entry.sent_commit = True
+            entry.commits.add(self.node)
+            self._send_vote(MsgKind.COMMIT, entry, now_us)
+            self._check_committed(entry, now_us)
+
+    def _on_commit(self, msg: Message, now_us: int) -> None:
+        if msg.view < self.view:
+            return
+        entry = self._get_or_create(msg, now_us)
+        if entry is None or entry.committed or msg.view < entry.view:
+            return
+        if msg.sender in entry.commits:
+            self._dup()
+            return
+        entry.commits.add(msg.sender)
+        # A commit vote implies the sender prepared; count it there
+        # too so a round of mostly already-committed peers can still
+        # reach the prepare quorum.
+        entry.prepares.add(msg.sender)
+        self._maybe_prepare(entry, now_us)
+        self._check_committed(entry, now_us)
+
+    def _check_committed(self, entry: Entry, now_us: int) -> None:
+        if (not entry.committed and entry.sent_commit
+                and len(entry.commits) >= self.commit_q):
+            self._commit(entry, now_us)
+
+    def _commit(self, entry: Entry, now_us: int) -> None:
+        entry.committed = True
+        entry.committed_us = now_us
+        self.open_seqs.discard(entry.seq)
+        self.hole_seqs.discard(entry.seq)
+        self.committed_ids.update(entry.tx_ids)
+        for tid in entry.tx_ids:
+            self.mempool.pop(tid, None)
+        self.frozen_seqs.discard(entry.seq)
+        self.last_progress_us = now_us
+        self.vc_attempts = 0
+        self.vc_target = None
+        self._drain_ledger(now_us)
+        if self.is_primary:
+            self._try_propose(now_us)
+        self._arm_vc(now_us)
+
+    def _drain_ledger(self, now_us: int) -> None:
+        """Append committed blocks in height order; a block above a
+        not-yet-committed height waits until the gap fills."""
+        height = len(self.ledger) + 1
+        while True:
+            entry = self.entries.get(height)
+            if entry is None or not entry.committed:
+                break
+            self.ledger.append(height)
+            if self.metrics is not None:
+                self.metrics.record_commit(self.node, height,
+                                           len(entry.tx_ids), now_us)
+            height += 1
+
+    # ------------------------------------------------------------ retries
+
+    def _on_retry_timer(self, now_us: int) -> None:
+        self.engine.schedule_timer(self.node, TimerKind.RETRY,
+                                   now_us + self.config.retry_period_us)
+        target = None
+        for seq in self.open_seqs:
+            entry = self.entries[seq]
+            if now_us - entry.created_us < self.config.retry_period_us:
+                continue
+            if target is None or entry.created_us < target.created_us \
+                    or (entry.created_us == target.created_us
+                        and entry.seq < target.seq):
+                target = entry
+        if target is None:
+            return
+        held = 0
+        for pos in target.content:
+            if pos < 64:
+                held |= 1 << pos
+        msg = Message(kind=MsgKind.RETRY_REQUEST, sender=self.node,
+                      recipient=None, view=self.view, seq=target.seq,
+                      digest=target.digest or _ZERO_DIGEST,
+                      block_ref=target.block_ref,
+                      timestamp=self._ms(now_us), client_request=held)
+        self.engine.broadcast(self.node, msg)
+        if self.metrics is not None:
+            self.metrics.record_retry(self.node)
+
+    def _on_retry_request(self, msg: Message, now_us: int) -> None:
+        entry = self.entries.get(msg.seq)
+        if entry is None or entry.digest is None:
+            return
+        if msg.digest != _ZERO_DIGEST and msg.digest != entry.digest:
+            return
+        requester = msg.sender
+        # Only the announcing primary can restate the announcement
+        # itself; without it the requester can neither verify content
+        # nor vote, so a lost one must be recoverable here.
+        if entry.pre_prepared and self.primary_of(entry.view) == self.node:
+            head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
+                           recipient=requester, view=entry.view,
+                           seq=entry.seq, digest=entry.digest,
+                           block_ref=entry.block_ref,
+                           timestamp=self._ms(now_us))
+            self.engine.send(self.node, requester, head)
+        # Strongest vote we can restate for this entry.
+        if entry.sent_commit or entry.committed:
+            self._send_vote(MsgKind.COMMIT, entry, now_us, dst=requester)
+        elif self.node in entry.prepares:
+            self._send_vote(MsgKind.PREPARE, entry, now_us, dst=requester)
+        if entry.content_ok:
+            held = msg.client_request
+            missing = [pos for pos in range(len(entry.tx_ids))
+                       if pos >= 64 or not (held >> pos) & 1]
+            self._send_content(entry, requester, missing)
+
+    # -------------------------------------------------------- view change
+
+    def _vc_timeout_us(self) -> int:
+        return self.config.view_timeout_us * (2 ** min(self.vc_attempts, 10))
+
+    def _vc_deadline(self, now_us: int) -> int | None:
+        """When the view-change timer expires.  Keyed to the age of
+        the oldest uncommitted transaction or slot, not to recent
+        progress: a primary that keeps committing fresh blocks while
+        old requests starve must still be voted out.  Adopting a view
+        restarts the clock so carried work gets a full timeout under
+        its new primary."""
+        oldest = None
+        if self.open_seqs:
+            oldest = min(self.entries[s].created_us for s in self.open_seqs)
+        if self.mempool:
+            waiting = min(int(tx.created_at * US_PER_S)
+                          for tx in self.mempool.values())
+            oldest = waiting if oldest is None else min(oldest, waiting)
+        if oldest is None:
+            return None
+        return max(oldest, self.view_started_us) + self._vc_timeout_us()
+
+    def _arm_vc(self, now_us: int) -> None:
+        if self._vc_timer_at is not None or not self._pending_work():
+            return
+        self._vc_timer_at = now_us + self._vc_timeout_us()
+        self.engine.schedule_timer(self.node, TimerKind.VIEW_CHANGE,
+                                   self._vc_timer_at)
+
+    def _on_vc_timer(self, now_us: int) -> None:
+        self._vc_timer_at = None
+        deadline = self._vc_deadline(now_us)
+        if deadline is None:
+            return
+        if now_us < deadline:
+            self._vc_timer_at = deadline
+            self.engine.schedule_timer(self.node, TimerKind.VIEW_CHANGE,
+                                       deadline)
+            return
+        target = max(self.view, self.vc_target or 0) + 1
+        self.vc_attempts += 1
+        self._vote_view_change(target, now_us)
+        self._arm_vc(now_us)
+
+    def _vote_view_change(self, target: int, now_us: int) -> None:
+        self.vc_target = target
+        if self.metrics is not None:
+            self.metrics.record_view_change_attempt(self.node)
+        reports = set()
+        for entry in self.entries.values():
+            if (not entry.committed and entry.digest is not None
+                    and self.node in entry.prepares
+                    and len(entry.prepares) >= max(self.prepare_q, 1)):
+                reports.add((entry.seq, entry.digest, entry.block_ref))
+        votes = [Message(kind=MsgKind.VIEW_CHANGE, sender=self.node,
+                         recipient=None, view=target, seq=0,
+                         digest=_ZERO_DIGEST, timestamp=self._ms(now_us))]
+        for seq, digest, ref in sorted(reports):
+            votes.append(Message(kind=MsgKind.VIEW_CHANGE, sender=self.node,
+                                 recipient=None, view=target, seq=seq,
+                                 digest=digest, block_ref=ref,
+                                 timestamp=self._ms(now_us)))
+        for msg in votes:
+            self.engine.broadcast(self.node, msg)
+        self._record_vc_votes(self.node, target, reports, now_us)
+
+    def _record_vc_votes(self, voter: int, target: int, reports,
+                         now_us: int) -> None:
+        voters = self.vc_votes.setdefault(target, {})
+        voters.setdefault(voter, set()).update(reports)
+        self._evaluate_vc(target, now_us)
+
+    def _on_view_change(self, msg: Message, now_us: int) -> None:
+        target = msg.view
+        if target <= self.view:
+            return
+        reports = set()
+        if msg.seq > 0:
+            reports.add((msg.seq, msg.digest, msg.block_ref))
+        self._record_vc_votes(msg.sender, target, reports, now_us)
+
+    def _evaluate_vc(self, target: int, now_us: int) -> None:
+        if target <= self.view:
+            return
+        voters = self.vc_votes.get(target, {})
+        # Join once f + 1 peers want this view (we will not be the
+        # lone holdout keeping the old primary alive).
+        if (len(voters) >= self.f + 1
+                and (self.vc_target is None or self.vc_target < target)):
+            self._vote_view_change(target, now_us)
+            if target <= self.view:
+                return  # our own vote completed the quorum and led
+        if (self.primary_of(target) == self.node
+                and len(voters) >= self.commit_q):
+            self._lead_view(target, now_us)
+
+    def _lead_view(self, target: int, now_us: int) -> None:
+        reports = {}
+        for report_set in self.vc_votes.get(target, {}).values():
+            for seq, digest, ref in report_set:
+                current = reports.get(seq)
+                if current is None or digest < current[0]:
+                    reports[seq] = (digest, ref)
+        self._adopt_view(target, now_us)
+        announce = Message(kind=MsgKind.NEW_VIEW, sender=self.node,
+                           recipient=None, view=target, seq=0,
+                           digest=_ZERO_DIGEST, timestamp=self._ms(now_us))
+        self.engine.broadcast(self.node, announce)
+        for seq in sorted(reports):
+            digest, ref = reports[seq]
+            entry = self.entries.get(seq)
+            if entry is None:
+                entry = Entry(seq=seq, view=target, digest=digest,
+                              block_ref=ref, created_us=now_us)
+                self.entries[seq] = entry
+            if entry.committed:
+                # Help laggards: re-announce, answer with a vouch.
+                pass
+            elif entry.digest != digest:
+                entry.digest = digest
+                entry.block_ref = ref
+                entry.content.clear()
+                entry.tx_ids = None
+                entry.content_ok = False
+            if not entry.committed:
+                entry.view = target
+                entry.pre_prepared = True
+                entry.prepares = {self.node}
+                entry.commits = set()
+                entry.sent_commit = False
+                entry.active = True
+                self.open_seqs.add(seq)
+                self.frozen_seqs.add(seq)
+                self._refresh_content(entry)
+            head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
+                           recipient=None, view=target, seq=seq,
+                           digest=entry.digest, block_ref=entry.block_ref,
+                           timestamp=self._ms(now_us))
+            self.engine.broadcast(self.node, head)
+            if entry.content_ok and not entry.committed:
+                self._send_content(entry, None, range(len(entry.tx_ids)))
+                self._maybe_prepare(entry, now_us)
+        # Proposal horizon restarts just past everything that was
+        # preserved; abandoned slots below it become holes we must
+        # refill so the ledger can keep draining in order.
+        committed = {s for s, e in self.entries.items() if e.committed}
+        floor = max(max(reports, default=0), max(committed, default=0))
+        self.next_seq = floor + 1
+        self.hole_seqs = {h for h in range(1, floor + 1)
+                          if h not in committed and h not in reports}
+        self._try_propose(now_us)
+
+    def _on_new_view(self, msg: Message, now_us: int) -> None:
+        if (msg.view <= self.view
+                or msg.sender != self.primary_of(msg.view)):
+            return
+        self._adopt_view(msg.view, now_us)
+        for tx in list(self.mempool.values()):
+            self._forward_tx(tx, self.primary_of(self.view), now_us)
+
+    def _adopt_view(self, view: int, now_us: int) -> None:
+        if view <= self.view:
+            return
+        self.view = view
+        self.last_progress_us = now_us
+        self.view_started_us = now_us
+        self.vc_attempts = 0
+        self.vc_target = None
+        self.hole_seqs.clear()
+        for stale in [t for t in self.vc_votes if t <= view]:
+            del self.vc_votes[stale]
+        for seq in list(self.open_seqs):
+            entry = self.entries[seq]
+            if entry.view >= view:
+                continue
+            # The old round died with its view; the entry sleeps until
+            # a re-announcement revives it.  Transactions we generated
+            # ourselves go back to the mempool so they are not lost if
+            # it never is.
+            entry.active = False
+            self.open_seqs.discard(seq)
+            for tx in entry.content.values():
+                tid = tx.tx_id
+                if tx.origin == self.node and tid not in self.committed_ids:
+                    self.mempool.setdefault(tid, tx)
+        if self.metrics is not None:
+            self.metrics.record_view_adoption(self.node, view)
+        self._arm_vc(now_us)
+
+
+class EquivocatingReplica(Replica):
+    """Fault injector: as primary, announces two conflicting blocks
+    for the same slot, one to each half of the peers.  Used by safety
+    tests; honest quorum intersection must keep ledgers consistent.
+    """
+
+    def _announce(self, entry: Entry, now_us: int,
+                  with_content: bool) -> None:
+        peers = [i for i in range(self.config.n) if i != self.node]
+        alt_ids = list(reversed(entry.tx_ids))
+        if alt_ids == entry.tx_ids or not with_content:
+            super()._announce(entry, now_us, with_content)
+            return
+        alt_digest = block_digest(entry.seq, alt_ids)
+        alt_ref = block_ref_from_digest(alt_digest)
+        alt_txs = list(reversed([entry.content[p]
+                                 for p in range(len(alt_ids))]))
+        half = len(peers) // 2
+        for dst in peers[:half]:
+            head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
+                           recipient=dst, view=self.view, seq=entry.seq,
+                           digest=entry.digest, block_ref=entry.block_ref,
+                           timestamp=self._ms(now_us))
+            self.engine.send(self.node, dst, head)
+            self._send_content(entry, dst, range(len(entry.tx_ids)))
+        for dst in peers[half:]:
+            head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
+                           recipient=dst, view=self.view, seq=entry.seq,
+                           digest=alt_digest, block_ref=alt_ref,
+                           timestamp=self._ms(now_us))
+            self.engine.send(self.node, dst, head)
+            for pos, tx in enumerate(alt_txs):
+                relay = Message(kind=MsgKind.CLIENT_REQUEST,
+                                sender=self.node, recipient=dst,
+                                view=self.view, seq=entry.seq, tx=tx,
+                                block_ref=alt_ref, timestamp=pos)
+                self.engine.send(self.node, dst, relay)

@@ -1,0 +1,258 @@
+"""Scenario configuration and single-run assembly.
+
+A scenario is a flat key=value text file (or mapping) describing one
+simulated run: cluster size, block size, workload period, device
+profile, latency model, fault schedule, and seed.  ``parse_config``
+rejects unknown keys and reports the offending key, line number, and
+violated constraint.  ``run_scenario`` wires the network engine,
+replicas, and transaction sources together, runs to the configured
+duration, and returns the finalized report.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .metrics import Metrics, MetricsReport, finalize
+from .netsim import (PROFILES, DeviceProfile, Engine, LatencyModel,
+                     TimerKind, to_us)
+from .replica import EquivocatingReplica, Replica, ReplicaConfig
+from .workload import GeneratorConfig, TransactionSource
+
+__all__ = ["ScenarioConfig", "RunResult", "parse_config", "parse_config_text",
+           "format_config", "run_scenario"]
+
+
+@dataclass
+class ScenarioConfig:
+    nodes: int = 4
+    block_size: int = 10
+    generation_period_s: float = 5.0
+    device_profile: str = "mcu8"
+    latency_dist: str = "none"
+    latency_mean_s: float = 0.0
+    buffer_capacity_bytes: int | None = None
+    duration_s: int = 1800
+    retry_period_s: float = 10.0
+    view_change_timeout_s: float = 30.0
+    jitter: float = 0.0
+    seed: int = 0
+    # crash schedule: (node, at_s) pairs, applied once.
+    crashes: tuple[tuple[int, float], ...] = ()
+    # nodes that announce conflicting blocks instead of honest ones.
+    equivocators: tuple[int, ...] = ()
+
+    def validate(self) -> None:
+        if self.nodes < 4:
+            raise ValueError("nodes: must be at least 4")
+        if self.block_size < 1:
+            raise ValueError("block_size: must be positive")
+        if self.generation_period_s <= 0:
+            raise ValueError("generation_period_s: must be positive")
+        if self.device_profile not in PROFILES:
+            names = ", ".join(sorted(PROFILES))
+            raise ValueError(f"device_profile: must be one of {names}")
+        if self.duration_s <= 0 or self.duration_s % 60:
+            raise ValueError("duration_s: must be a positive multiple of 60")
+        if self.retry_period_s <= 0:
+            raise ValueError("retry_period_s: must be positive")
+        if self.view_change_timeout_s <= 0:
+            raise ValueError("view_change_timeout_s: must be positive")
+        if not 0.0 <= self.jitter < 1.0:
+            raise ValueError("jitter: must be in [0, 1)")
+        if self.buffer_capacity_bytes is not None \
+                and self.buffer_capacity_bytes < 1:
+            raise ValueError("buffer_capacity_bytes: must be positive")
+        # the latency model validates dist/mean itself
+        LatencyModel(self.latency_dist, self.latency_mean_s)
+        for node, at_s in self.crashes:
+            if not 0 <= node < self.nodes:
+                raise ValueError(f"crashes: node {node} out of range")
+            if at_s < 0:
+                raise ValueError("crashes: crash time must be >= 0")
+        for node in self.equivocators:
+            if not 0 <= node < self.nodes:
+                raise ValueError(f"equivocators: node {node} out of range")
+
+    def profile(self) -> DeviceProfile:
+        return PROFILES[self.device_profile]
+
+    def latency(self) -> LatencyModel:
+        return LatencyModel(self.latency_dist, self.latency_mean_s)
+
+    def echo(self) -> dict:
+        """Summary fields identifying the run in its report."""
+        echo = {
+            "nodes": self.nodes,
+            "block_size": self.block_size,
+            "generation_period_s": float(self.generation_period_s),
+            "device_profile": self.device_profile,
+            "latency_dist": self.latency_dist,
+            "latency_mean_s": float(self.latency_mean_s),
+            "duration_s": self.duration_s,
+            "retry_period_s": float(self.retry_period_s),
+            "view_change_timeout_s": float(self.view_change_timeout_s),
+            "jitter": float(self.jitter),
+            "seed": self.seed,
+        }
+        if self.buffer_capacity_bytes is not None:
+            echo["buffer_capacity_bytes"] = self.buffer_capacity_bytes
+        if self.crashes:
+            echo["crashes"] = _format_crashes(self.crashes)
+        if self.equivocators:
+            echo["equivocators"] = ",".join(str(v) for v in self.equivocators)
+        return echo
+
+
+_INT_KEYS = {"nodes", "block_size", "duration_s", "seed",
+             "buffer_capacity_bytes"}
+_FLOAT_KEYS = {"generation_period_s", "latency_mean_s", "retry_period_s",
+               "view_change_timeout_s", "jitter"}
+_STR_KEYS = {"device_profile", "latency_dist"}
+_LIST_KEYS = {"crashes", "equivocators"}
+_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
+
+
+def _parse_crashes(value: str) -> tuple[tuple[int, float], ...]:
+    # "1@300,2@600.5" -> ((1, 300.0), (2, 600.5))
+    crashes = []
+    for part in value.split(","):
+        node_s, sep, at_s = part.partition("@")
+        if not sep:
+            raise ValueError("expected node@seconds entries")
+        crashes.append((int(node_s), float(at_s)))
+    return tuple(crashes)
+
+
+def _format_crashes(crashes) -> str:
+    return ",".join(f"{node}@{at_s:g}" for node, at_s in crashes)
+
+
+def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
+    """Parse key=value lines; '#' starts a comment."""
+    config = ScenarioConfig()
+    seen: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not sep or not key:
+            raise ValueError(f"{source}:{lineno}: expected key=value, "
+                             f"got {line!r}")
+        if key not in _ALL_KEYS:
+            raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"{source}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
+        try:
+            if key in _INT_KEYS:
+                setattr(config, key, int(value))
+            elif key in _FLOAT_KEYS:
+                setattr(config, key, float(value))
+            elif key == "crashes":
+                config.crashes = _parse_crashes(value)
+            elif key == "equivocators":
+                config.equivocators = tuple(
+                    int(v) for v in value.split(",") if v.strip())
+            else:
+                setattr(config, key, value)
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: bad value for "
+                             f"{key!r}: {exc}") from None
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    return config
+
+
+def parse_config(path) -> ScenarioConfig:
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_config_text(text, source=str(path))
+
+
+def format_config(config: ScenarioConfig) -> str:
+    """Inverse of parse_config_text for the default-relevant keys."""
+    lines = [
+        f"nodes = {config.nodes}",
+        f"block_size = {config.block_size}",
+        f"generation_period_s = {config.generation_period_s:g}",
+        f"device_profile = {config.device_profile}",
+        f"latency_dist = {config.latency_dist}",
+        f"latency_mean_s = {config.latency_mean_s:g}",
+        f"duration_s = {config.duration_s}",
+        f"retry_period_s = {config.retry_period_s:g}",
+        f"view_change_timeout_s = {config.view_change_timeout_s:g}",
+        f"jitter = {config.jitter:g}",
+        f"seed = {config.seed}",
+    ]
+    if config.buffer_capacity_bytes is not None:
+        lines.append(f"buffer_capacity_bytes = {config.buffer_capacity_bytes}")
+    if config.crashes:
+        lines.append(f"crashes = {_format_crashes(config.crashes)}")
+    if config.equivocators:
+        joined = ",".join(str(v) for v in config.equivocators)
+        lines.append(f"equivocators = {joined}")
+    return "\n".join(lines) + "\n"
+
+
+@dataclass
+class RunResult:
+    config: ScenarioConfig
+    report: MetricsReport
+    engine: Engine = field(repr=False)
+    replicas: list[Replica] = field(repr=False)
+    trace_hash: str | None = None
+
+
+def run_scenario(config: ScenarioConfig, trace: bool = False,
+                 keep_trace_lines: bool = False) -> RunResult:
+    config.validate()
+    engine = Engine(
+        config.nodes,
+        config.profile(),
+        config.latency(),
+        config.seed,
+        buffer_capacity=config.buffer_capacity_bytes,
+        trace=trace,
+        keep_trace_lines=keep_trace_lines,
+    )
+    metrics = Metrics(config.nodes)
+    rconfig = ReplicaConfig(
+        n=config.nodes,
+        block_size=config.block_size,
+        retry_period_us=to_us(config.retry_period_s),
+        view_timeout_us=to_us(config.view_change_timeout_s),
+    )
+    equivocators = set(config.equivocators)
+    replicas = []
+    for node in range(config.nodes):
+        cls = EquivocatingReplica if node in equivocators else Replica
+        replica = cls(node, engine, rconfig, metrics)
+        engine.attach_replica(node, replica)
+        replicas.append(replica)
+
+    gen = GeneratorConfig(
+        period_s=config.generation_period_s,
+        payload_bytes=config.profile().tx_payload_bytes,
+        jitter=config.jitter,
+        until_s=config.duration_s,
+    )
+    for node in range(config.nodes):
+        source = TransactionSource(node, gen)
+        engine.attach_source(node, source, source.phase_s(config.nodes))
+
+    for node, at_s in config.crashes:
+        engine.schedule_crash(node, at_s)
+    engine.schedule_minutes(config.duration_s)
+    for replica in replicas:
+        replica.start()
+
+    engine.run(config.duration_s)
+    report = finalize(metrics, engine, config.duration_s, config.echo())
+    trace_hash = engine.trace_hash() if trace else None
+    return RunResult(config, report, engine, replicas, trace_hash)

@@ -1,0 +1,360 @@
+"""Parameter sweeps, packaged experiment presets and the load study.
+
+A sweep runs one base scenario across the values of one axis (and
+optionally a second axis for paired comparisons), several repetitions
+per point.  Per-run seeds derive from the master seed, the primary
+axis index and the repetition counter, so the whole sweep is
+reproducible from a single integer and reruns emit byte-identical
+CSV.  Two-axis sweeps share seeds across the second axis: runs that
+differ only in the second-axis value see identical workloads.
+
+Presets are sweep definition files shipped with the package, one per
+packaged experiment; ``load_preset`` resolves them by name.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass, field, replace
+from importlib import resources
+
+import numpy as np
+
+from .metrics import MetricsReport
+from .scenario import ScenarioConfig, parse_config_text, run_scenario
+
+__all__ = ["SweepSpec", "SweepRun", "SweepResult", "PRESETS",
+           "load_preset", "parse_sweep_text", "derive_seed", "run_sweep",
+           "emit_csv", "emit_plot_data", "LoadPoint", "LoadStudy",
+           "run_load_study", "fit_load_curve", "render_load_study",
+           "LOAD_STUDY_NODES"]
+
+LOAD_CSV_HEADER = "scenario,axis_value,minute,committed\n"
+LOAD_STUDY_NODES = (5, 10, 15, 20, 25, 30)
+_SATURATED = 0.995
+
+# Axis keys that may be swept, by value type.
+_INT_AXES = {"nodes", "block_size", "buffer_capacity_bytes", "duration_s"}
+_FLOAT_AXES = {"generation_period_s", "latency_mean_s", "retry_period_s",
+               "view_change_timeout_s", "jitter"}
+_STR_AXES = {"device_profile", "latency_dist"}
+_AXES = _INT_AXES | _FLOAT_AXES | _STR_AXES
+
+# Packaged experiment definitions: registry name -> resource file.
+PRESETS = {
+    "EXP-BLOCKSIZE": "exp-blocksize.cfg",
+    "EXP-RETRY": "exp-retry.cfg",
+    "EXP-GENPERIOD": "exp-genperiod.cfg",
+    "EXP-LATENCY": "exp-latency.cfg",
+    "EXP-LOAD": "exp-load.cfg",
+}
+
+
+@dataclass
+class SweepSpec:
+    name: str
+    base: ScenarioConfig
+    axis: str
+    values: tuple
+    axis2: str | None = None
+    values2: tuple = ()
+    repetitions: int = 1
+    seed_policy: str = "derive"  # or "same"
+
+    def __post_init__(self):
+        for axis in filter(None, (self.axis, self.axis2)):
+            if axis not in _AXES:
+                raise ValueError(f"axis {axis!r} is not sweepable")
+        if not self.values:
+            raise ValueError("a sweep needs at least one axis value")
+        if self.axis2 is not None and not self.values2:
+            raise ValueError("second axis declared without values")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        if self.seed_policy not in ("derive", "same"):
+            raise ValueError("seed_policy must be 'derive' or 'same'")
+
+    @property
+    def master_seed(self) -> int:
+        return self.base.seed
+
+
+def derive_seed(master: int, idx: int, rep: int) -> int:
+    """Stable per-run seed from the master seed and run coordinates."""
+    tag = f"{master}:{idx}:{rep}".encode()
+    return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
+
+
+def _parse_axis_value(axis: str, text: str):
+    if axis in _INT_AXES:
+        return int(text)
+    if axis in _FLOAT_AXES:
+        return float(text)
+    return text
+
+
+def _fmt_value(value) -> str:
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
+
+
+_SWEEP_KEYS = ("axis", "values", "axis2", "values2", "repetitions")
+
+
+def parse_sweep_text(text: str, name: str = "sweep",
+                     source: str = "<sweep>") -> SweepSpec:
+    """Parse a sweep definition: sweep keys plus a base scenario.
+
+    The sweep-level keys (axis, values, axis2, values2, repetitions)
+    are extracted; every other line must be a valid scenario key.
+    """
+    sweep: dict = {}
+    base_lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        key = line.partition("=")[0].strip()
+        if key in _SWEEP_KEYS:
+            value = line.partition("=")[2].strip()
+            if key in sweep:
+                raise ValueError(f"{source}:{lineno}: duplicate key {key!r}")
+            sweep[key] = (lineno, value)
+            base_lines.append("")  # keep line numbers aligned
+        else:
+            base_lines.append(raw)
+    base = parse_config_text("\n".join(base_lines), source=source)
+    if "axis" not in sweep or "values" not in sweep:
+        raise ValueError(f"{source}: a sweep needs 'axis' and 'values'")
+
+    axis = sweep["axis"][1]
+    axis2 = sweep["axis2"][1] if "axis2" in sweep else None
+    for key, ax in (("values", axis), ("values2", axis2)):
+        if key not in sweep:
+            continue
+        lineno, joined = sweep[key]
+        try:
+            sweep[key] = tuple(_parse_axis_value(ax, v.strip())
+                               for v in joined.split(",") if v.strip())
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: bad {key}: {exc}") from None
+    reps = 1
+    if "repetitions" in sweep:
+        lineno, value = sweep["repetitions"]
+        try:
+            reps = int(value)
+        except ValueError:
+            raise ValueError(f"{source}:{lineno}: bad repetitions") from None
+    try:
+        return SweepSpec(name=name, base=base, axis=axis,
+                         values=sweep["values"], axis2=axis2,
+                         values2=sweep.get("values2", ()),
+                         repetitions=reps)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
+def load_preset(name: str) -> SweepSpec:
+    if name not in PRESETS:
+        known = ", ".join(sorted(PRESETS))
+        raise ValueError(f"unknown preset {name!r} (expected one of {known})")
+    path = resources.files("pbftsim.presets") / PRESETS[name]
+    return parse_sweep_text(path.read_text(encoding="utf-8"), name=name,
+                            source=PRESETS[name])
+
+
+# ------------------------------------------------------------------ running
+
+@dataclass
+class SweepRun:
+    scenario_id: str
+    axis_value: object
+    axis2_value: object | None
+    rep: int
+    seed: int
+    report: MetricsReport
+    trace_hash: str | None = None
+
+
+@dataclass
+class SweepResult:
+    spec: SweepSpec
+    runs: list[SweepRun] = field(default_factory=list)
+
+    def totals(self) -> dict:
+        """(axis value, axis2 value) -> committed totals per rep."""
+        out: dict = {}
+        for run in self.runs:
+            key = (run.axis_value, run.axis2_value)
+            out.setdefault(key, []).append(run.report.total_committed)
+        return out
+
+    def mean_total(self, value, value2=None) -> float:
+        return float(np.mean(self.totals()[(value, value2)]))
+
+
+def _sweep_points(spec: SweepSpec):
+    for idx, value in enumerate(spec.values):
+        if spec.axis2 is None:
+            yield idx, value, None
+        else:
+            for value2 in spec.values2:
+                yield idx, value, value2
+
+
+def run_sweep(spec: SweepSpec, trace: bool = False) -> SweepResult:
+    result = SweepResult(spec)
+    for idx, value, value2 in _sweep_points(spec):
+        for rep in range(spec.repetitions):
+            if spec.seed_policy == "derive":
+                seed = derive_seed(spec.master_seed, idx, rep)
+            else:
+                seed = spec.master_seed
+            overrides = {spec.axis: value, "seed": seed}
+            if spec.axis2 is not None:
+                overrides[spec.axis2] = value2
+            config = replace(spec.base, **overrides)
+            run = run_scenario(config, trace=trace)
+            parts = [spec.name, _fmt_value(value)]
+            if value2 is not None:
+                parts.append(_fmt_value(value2))
+            parts.append(f"r{rep}")
+            result.runs.append(SweepRun(
+                scenario_id=":".join(parts), axis_value=value,
+                axis2_value=value2, rep=rep, seed=seed,
+                report=run.report, trace_hash=run.trace_hash))
+    return result
+
+
+# ----------------------------------------------------------------- emitters
+
+def emit_csv(result: SweepResult) -> str:
+    """One row per (run, minute): scenario id, primary axis value,
+    minute index, blocks committed in that minute."""
+    lines = [LOAD_CSV_HEADER.rstrip("\n")]
+    for run in result.runs:
+        value = _fmt_value(run.axis_value)
+        for minute, blocks, _ in run.report.minutes:
+            lines.append(f"{run.scenario_id},{value},{minute},{blocks}")
+    return "\n".join(lines) + "\n"
+
+
+def _curve_label(run: SweepRun) -> str:
+    if run.axis2_value is None:
+        return _fmt_value(run.axis_value)
+    return f"{_fmt_value(run.axis_value)}/{_fmt_value(run.axis2_value)}"
+
+
+def emit_plot_data(result: SweepResult) -> str:
+    """Wide pivot for plotting: one column per curve (axis point),
+    one row per minute, cells are mean committed blocks across reps."""
+    curves: dict[str, list[list[int]]] = {}
+    for run in result.runs:
+        series = run.report.minute_blocks
+        curves.setdefault(_curve_label(run), []).append(series)
+    labels = list(curves)
+    depth = max((len(s) for reps in curves.values() for s in reps),
+                default=0)
+    lines = ["minute," + ",".join(labels)]
+    for minute in range(depth):
+        cells = [str(minute)]
+        for label in labels:
+            reps = curves[label]
+            vals = [s[minute] for s in reps if minute < len(s)]
+            cells.append(f"{np.mean(vals):.6f}" if vals else "")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+# --------------------------------------------------------------- load study
+
+@dataclass
+class LoadPoint:
+    nodes: int
+    load: float
+    report: MetricsReport
+
+
+@dataclass
+class LoadStudy:
+    points: list[LoadPoint]
+    slope: float | None
+    intercept: float | None
+    saturation_nodes: float | None
+    warning: str | None
+
+    def load_at(self, nodes: int) -> float:
+        for point in self.points:
+            if point.nodes == nodes:
+                return point.load
+        raise KeyError(nodes)
+
+
+def run_load_study(base: ScenarioConfig,
+                   nodes: tuple = LOAD_STUDY_NODES,
+                   master_seed: int | None = None) -> LoadStudy:
+    """Run the base scenario across network sizes and fit the busiest
+    node's utilisation against size.
+
+    The fit is linear over the pre-saturation points and extrapolated
+    to the size where utilisation reaches 1.0.  If utilisation does
+    not grow monotonically with size, no extrapolation is reported.
+    """
+    if master_seed is None:
+        master_seed = base.seed
+    points = []
+    for idx, n in enumerate(nodes):
+        config = replace(base, nodes=n,
+                         seed=derive_seed(master_seed, idx, 0))
+        run = run_scenario(config)
+        load = max(row["load"] for row in run.report.nodes)
+        points.append(LoadPoint(nodes=n, load=load, report=run.report))
+    slope, intercept, saturation, warning = fit_load_curve(
+        [(p.nodes, p.load) for p in points])
+    return LoadStudy(points=points, slope=slope, intercept=intercept,
+                     saturation_nodes=saturation, warning=warning)
+
+
+def fit_load_curve(points):
+    """Linear fit of (nodes, load) pairs over the pre-saturation
+    region, extrapolated to utilisation 1.0.
+
+    Returns (slope, intercept, saturation_nodes, warning); the first
+    three are None whenever the warning explains why no estimate is
+    possible.
+    """
+    loads = [load for _, load in points]
+    if any(b < a - 1e-9 for a, b in zip(loads, loads[1:])):
+        return None, None, None, ("utilisation is not monotone in network "
+                                  "size; no saturation estimate")
+    pre = [(n, load) for n, load in points if load < _SATURATED]
+    if len(pre) < 2:
+        return None, None, None, ("fewer than two pre-saturation points; "
+                                  "no saturation estimate")
+    xs, ys = zip(*pre)
+    slope, intercept = (float(v) for v in np.polyfit(xs, ys, 1))
+    if slope <= 0:
+        return None, None, None, ("utilisation does not grow with size; "
+                                  "no saturation estimate")
+    return slope, intercept, (1.0 - intercept) / slope, None
+
+
+LOAD_STUDY_VERSION = "consensus-sim-load/1"
+
+
+def render_load_study(study: LoadStudy, config_echo: dict | None = None) -> str:
+    lines = ["[load-study]", f"version={LOAD_STUDY_VERSION}"]
+    for key, value in (config_echo or {}).items():
+        lines.append(f"{key}={value}")
+    lines.append("nodes=" + ",".join(str(p.nodes) for p in study.points))
+    if study.slope is not None:
+        lines.append(f"slope={study.slope:.6f}")
+        lines.append(f"intercept={study.intercept:.6f}")
+    if study.saturation_nodes is not None:
+        lines.append(f"saturation_nodes={study.saturation_nodes:.2f}")
+    if study.warning is not None:
+        lines.append(f"warning={study.warning}")
+    lines.append("[points]")
+    lines.append("nodes,load")
+    for point in study.points:
+        lines.append(f"{point.nodes},{point.load:.6f}")
+    return "\n".join(lines) + "\n"
