@@ -18,6 +18,19 @@ The node model is a full mesh of devices.  Each device owns
 Propagation delay is zero: transit time is NIC queueing plus
 serialisation.  Loss happens only at ingress buffers (and when the
 destination is crashed).
+
+Hot path.  A message's frame size is fixed when the ``Message`` is
+built (``Message.size``), so a delivered copy never recomputes it;
+serialisation times are cached per frame size.  ``Engine.run`` serves
+arrivals and service completions inline.  Profilers and the
+benchmark wrap calls at class or module level, so these stay one
+call each, made through attribute lookup: ``Engine.run``, and
+``Engine.send`` per copy (``Engine.broadcast`` per broadcast);
+``on_message``, ``on_timer`` and ``on_transaction`` on the replica
+per callback; ``next_tx`` per transaction and
+``LatencyModel.sample_us`` per delay draw.  The pending queue
+``Engine._heap`` stays a heap of ``(at_us, seqno, tag, node,
+payload)`` tuples with ``_EV_ARRIVAL`` marking frames in flight.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .wire import Message, frame_size
+from .wire import Message
 
 __all__ = [
     "US_PER_S",
@@ -222,6 +235,10 @@ class Engine:
         self._heap: list = []
         self._seqno = 0
         self._fixed_cost_us = to_us(profile.per_message_processing_s)
+        # The delay model, or None when it never delays.
+        self._delay = None if latency.is_zero else latency
+        # Serialisation time in microseconds, keyed by frame size.
+        self._ser_us: dict[int, int] = {}
 
         # One RNG stream per node, split from the run seed; node i
         # always consumes stream i regardless of instrumentation.
@@ -280,9 +297,12 @@ class Engine:
         serialisation at the link rate (zero propagation)."""
         if self.crashed[src]:
             return
-        size = frame_size(msg)
-        rate = self.profile.link_rate_bps
-        ser_us = (size * 8 * US_PER_S + rate - 1) // rate
+        size = msg.size
+        ser_us = self._ser_us.get(size)
+        if ser_us is None:
+            rate = self.profile.link_rate_bps
+            ser_us = self._ser_us[size] = (
+                (size * 8 * US_PER_S + rate - 1) // rate)
         start = self.nic_free_us[src]
         if start < self.now_us:
             start = self.now_us
@@ -290,14 +310,16 @@ class Engine:
         self.nic_free_us[src] = done
         self.busy_nic_us[src] += ser_us
         self.sent_packets += 1
-        self._push(done, _EV_ARRIVAL, dst, msg)
+        self._seqno += 1
+        heappush(self._heap, (done, self._seqno, _EV_ARRIVAL, dst, msg))
 
     def broadcast(self, src: int, msg: Message) -> None:
         """Send a copy to every other node, serialised back to back
         in ascending recipient order."""
+        send = self.send
         for dst in range(self.n):
             if dst != src:
-                self.send(src, dst, msg)
+                send(src, dst, msg)
 
     # --------------------------------------------------------- event loop
 
@@ -316,64 +338,75 @@ class Engine:
 
         Returns the number of events executed.  The queue may keep
         later events; a subsequent run continues from them.
+
+        Arrivals and service completions are handled inline; both end,
+        when the node's processor takes a message, in the one
+        start-of-service block at the bottom of the loop.
         """
         until_us = to_us(until_s)
         heap = self._heap
+        trace = self._trace if self._trace_hash is not None else None
+        buffers = self.buffers
+        crashed = self.crashed
+        replicas = self.replicas
+        queues = self._cpu_queue
+        cpu_free_us = self.cpu_free_us
+        busy_cpu_us = self.busy_cpu_us
+        dropped = self.dropped
+        fixed_cost_us = self._fixed_cost_us
+        latency = self._delay
+        rngs = self.rngs
         executed = 0
         while heap and heap[0][0] <= until_us:
             at, _, tag, node, payload = heappop(heap)
             self.now_us = at
             executed += 1
-            if self._trace_hash is not None:
-                self._trace(at, tag, node, payload)
+            if trace is not None:
+                trace(at, tag, node, payload)
             if tag == _EV_ARRIVAL:
-                self._on_arrival(node, payload)
+                self.arrived_packets += 1
+                if crashed[node]:
+                    self.to_crashed += 1
+                    continue
+                if not buffers[node].admit(payload.size):
+                    dropped[node] += 1
+                    continue
+                if cpu_free_us[node] > at:
+                    queues[node].append(payload)
+                    continue
+                msg = payload
             elif tag == _EV_SERVICE:
-                self._on_service_done(node, payload)
-            elif tag == _EV_TIMER:
-                self._on_timer(node, payload)
-            elif tag == _EV_GENERATE:
-                self._on_generate(node)
+                buffers[node].release(payload.size)
+                if crashed[node]:
+                    self.lost_to_crash += 1
+                    continue
+                replicas[node].on_message(payload, at)
+                queue = queues[node]
+                if not queue:
+                    continue
+                msg = queue.popleft()
             else:
-                self._on_crash(node)
+                if tag == _EV_TIMER:
+                    self._on_timer(node, payload)
+                elif tag == _EV_GENERATE:
+                    self._on_generate(node)
+                else:
+                    self._on_crash(node)
+                continue
+            # The node's processor takes ``msg`` now.
+            svc = fixed_cost_us
+            if latency is not None:
+                svc += latency.sample_us(rngs[node])
+            done = at + svc
+            cpu_free_us[node] = done
+            busy_cpu_us[node] += svc
+            self._seqno += 1
+            heappush(heap, (done, self._seqno, _EV_SERVICE, node, msg))
         self.now_us = until_us
         self.events_executed += executed
         return executed
 
     # ------------------------------------------------------ event bodies
-
-    def _on_arrival(self, node: int, msg: Message) -> None:
-        self.arrived_packets += 1
-        if self.crashed[node]:
-            self.to_crashed += 1
-            return
-        size = frame_size(msg)
-        if not self.buffers[node].admit(size):
-            self.dropped[node] += 1
-            return
-        if self.cpu_free_us[node] <= self.now_us:
-            self._start_service(node, msg)
-        else:
-            self._cpu_queue[node].append(msg)
-
-    def _start_service(self, node: int, msg: Message) -> None:
-        svc = self._fixed_cost_us
-        if not self.latency.is_zero:
-            svc += self.latency.sample_us(self.rngs[node])
-        done = self.now_us + svc
-        self.cpu_free_us[node] = done
-        self.busy_cpu_us[node] += svc
-        self._push(done, _EV_SERVICE, node, msg)
-
-    def _on_service_done(self, node: int, msg: Message) -> None:
-        self.buffers[node].release(frame_size(msg))
-        if self.crashed[node]:
-            self.lost_to_crash += 1
-            return
-        self.replicas[node].on_message(msg, self.now_us)
-        queue = self._cpu_queue[node]
-        if queue:
-            self._start_service(node, queue.popleft())
 
     def _on_timer(self, node: int, kind: TimerKind) -> None:
         if kind == TimerKind.MINUTE_TICK:
@@ -394,14 +427,18 @@ class Engine:
 
     def _on_crash(self, node: int) -> None:
         self.crashed[node] = True
-        self.lost_to_crash += len(self._cpu_queue[node])
-        self._cpu_queue[node].clear()
+        queue = self._cpu_queue[node]
+        self.lost_to_crash += len(queue)
+        buffer = self.buffers[node]
+        for msg in queue:
+            buffer.release(msg.size)
+        queue.clear()
 
     # ------------------------------------------------------------- trace
 
     def _trace(self, at: int, tag: int, node: int, payload) -> None:
         if tag == _EV_ARRIVAL or tag == _EV_SERVICE:
-            detail = (f"{frame_size(payload)} {payload.kind}"
+            detail = (f"{payload.size} {payload.kind}"
                       f" {payload.sender} {payload.seq}")
         elif tag == _EV_TIMER:
             detail = f"0 {int(payload)}"

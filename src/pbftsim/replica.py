@@ -35,6 +35,7 @@ Two recovery mechanisms cover losses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .netsim import US_PER_S, Engine, TimerKind
 from .wire import (
@@ -227,7 +228,7 @@ class Replica:
         while (self.is_primary and not self.frozen_seqs
                and len(self.open_seqs) < cfg.max_inflight
                and len(self.mempool) >= cfg.block_size):
-            picked = list(self.mempool.items())[:cfg.block_size]
+            picked = list(islice(self.mempool.items(), cfg.block_size))
             for tid, _ in picked:
                 del self.mempool[tid]
             txs = [tx for _, tx in picked]
@@ -404,8 +405,13 @@ class Replica:
     def _on_prepare(self, msg: Message, now_us: int) -> None:
         if msg.view < self.view:
             return
+        # A vote that arrives after its block committed changes
+        # nothing; drop it before the lookup-or-create.
+        entry = self.entries.get(msg.seq)
+        if entry is not None and entry.committed:
+            return
         entry = self._get_or_create(msg, now_us)
-        if entry is None or entry.committed or msg.view < entry.view:
+        if entry is None or msg.view < entry.view:
             return
         if msg.sender in entry.prepares:
             self._dup()
@@ -426,8 +432,13 @@ class Replica:
     def _on_commit(self, msg: Message, now_us: int) -> None:
         if msg.view < self.view:
             return
+        # A vote that arrives after its block committed changes
+        # nothing; drop it before the lookup-or-create.
+        entry = self.entries.get(msg.seq)
+        if entry is not None and entry.committed:
+            return
         entry = self._get_or_create(msg, now_us)
-        if entry is None or entry.committed or msg.view < entry.view:
+        if entry is None or msg.view < entry.view:
             return
         if msg.sender in entry.commits:
             self._dup()

@@ -214,6 +214,8 @@ class Message:
     32 bits, kept for the frame layout only.  ``recipient`` is a node
     id or ``BROADCAST`` (None).  ``timestamp`` is the raw 4-byte field
     (milliseconds for most kinds, block position for relays).
+    ``size`` is the frame size, fixed when the message is built; it
+    takes no part in equality.
     """
 
     kind: MsgKind
@@ -227,11 +229,13 @@ class Message:
     timestamp: int = 0
     client_request: int = 0
     signature: bytes = _ZERO_SIG
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # The client request field identifies the carried transaction.
         if self.tx is not None and self.client_request == 0:
             self.client_request = (self.tx.origin << 32) | self.tx.counter
+        self.size = frame_size(self)
 
 
 def wire_size(msg: Message) -> int:

@@ -11,6 +11,7 @@ import random
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.stats import spearmanr
 
 from pbftsim.metrics import render_report
@@ -26,6 +27,8 @@ from pbftsim.wire import (
     fault_tolerance,
     wire_size,
 )
+
+pytestmark = pytest.mark.slow
 
 
 def ledger_digests(replica):

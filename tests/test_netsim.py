@@ -253,8 +253,14 @@ def test_crash_discards_queued_work():
     for counter in range(3):
         eng.send(0, 1, tx_msg(counter=counter))
     eng.schedule_crash(1, 0.05)  # mid-service of the first message
+    eng.run(0.05)
+    # The crash frees the two queued frames; the one in service holds
+    # its bytes until its service ends.
+    assert eng.buffers[1].used == 1122
     eng.run(10.0)
     assert recs[1].messages == []
+    assert eng.buffers[1].used == 0
+    assert eng.lost_to_crash == 3
 
 
 def test_crashed_node_timers_do_not_fire():

@@ -153,6 +153,16 @@ class TestRun:
                   if i != 2]
         assert len(res.replicas[2].ledger) < min(others)
 
+    def test_crashed_node_holds_no_buffer_bytes(self):
+        config = ScenarioConfig(
+            nodes=7, block_size=5, generation_period_s=2.0,
+            device_profile="mcu8", latency_dist="uniform",
+            latency_mean_s=0.01, duration_s=120, crashes=((2, 30.0),),
+            jitter=0.05, seed=4242)
+        engine = run_scenario(config).engine
+        assert engine.crashed[2]
+        assert engine.buffers[2].used == 0
+
     def test_observer_falls_back_when_node0_crashes(self):
         res = run_scenario(quick(crashes=((0, 10.0),)))
         assert res.report.summary["observer"] == "1"

@@ -7,6 +7,7 @@ from the documented layout with struct alone (tests/data).
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -158,13 +159,16 @@ def test_golden_encode(entry):
     msg = message_from_golden(entry)
     assert wire_size(msg) == entry["body_size"]
     assert encode(msg).hex() == entry["frame_hex"]
+    assert msg.size == frame_size(msg) == len(encode(msg))
 
 
 @pytest.mark.parametrize("entry", golden_entries(),
                          ids=lambda e: e["name"])
 def test_golden_decode(entry):
     msg = message_from_golden(entry)
-    assert decode(bytes.fromhex(entry["frame_hex"])) == msg
+    decoded = decode(bytes.fromhex(entry["frame_hex"]))
+    assert decoded == msg
+    assert decoded.size == msg.size
 
 
 # ------------------------------------------------------------ round trip
@@ -220,8 +224,15 @@ def tx_messages():
 @given(st.one_of(protocol_messages(), tx_messages()))
 def test_codec_round_trip(msg):
     frame = encode(msg)
-    assert decode(frame) == msg
-    assert encode(decode(frame)) == frame
+    assert msg.size == frame_size(msg) == len(frame)
+    copy = decode(frame)
+    assert copy == msg
+    assert encode(copy) == frame
+    # The cached size is derived state: it takes no part in equality
+    # and is not echoed by repr.
+    copy.size = -1
+    assert copy == msg
+    assert not re.search(r"\bsize=", repr(msg))
 
 
 # ---------------------------------------------------------------- errors
