@@ -16,7 +16,6 @@ The package is organised as a small library:
 from .wire import (
     MsgKind,
     Transaction,
-    Block,
     Message,
     fault_tolerance,
     prepare_quorum,

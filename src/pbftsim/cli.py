@@ -17,9 +17,9 @@ from dataclasses import replace
 
 from .metrics import render_report
 from .scenario import parse_config, run_scenario
-from .sweeps import (LOAD_STUDY_NODES, PRESETS, emit_csv, emit_plot_data,
-                     load_preset, parse_sweep_text, render_load_study,
-                     run_load_study, run_sweep)
+from .sweeps import (PRESETS, emit_csv, emit_plot_data, load_preset,
+                     parse_sweep_text, render_load_study, run_load_study,
+                     run_sweep)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -70,15 +70,20 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_load_study(args) -> int:
-    spec = load_preset(args.preset) if args.preset in PRESETS \
-        else _resolve_sweep(args.preset)
+    spec = _resolve_sweep(args.preset)
+    if args.nodes is not None:
+        nodes = tuple(int(v) for v in args.nodes.split(","))
+    elif spec.axis == "nodes":
+        nodes = spec.values
+    else:
+        raise ValueError(f"{args.preset} sweeps {spec.axis!r}, not nodes: "
+                         f"give the network sizes with --nodes")
     base = spec.base
     if args.profile is not None:
         base = replace(base, device_profile=args.profile)
     if args.period is not None:
         base = replace(base, generation_period_s=args.period)
     seed = args.seed if args.seed is not None else base.seed
-    nodes = tuple(int(v) for v in args.nodes.split(","))
     study = run_load_study(base, nodes=nodes, master_seed=seed)
     echo = {"profile": base.device_profile, "seed": seed,
             "block_size": base.block_size,
@@ -123,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--period", type=float,
                         help="override the generation period")
     p_load.add_argument("--nodes",
-                        default=",".join(str(n) for n in LOAD_STUDY_NODES),
-                        help="network sizes to sample")
+                        help="network sizes to sample (default: the "
+                             "preset's values when it sweeps nodes)")
     p_load.add_argument("--seed", type=int, help="override the master seed")
     p_load.add_argument("--out", help="write the study here")
     p_load.add_argument("--trace", action="store_true",

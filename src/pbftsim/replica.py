@@ -101,6 +101,22 @@ class Entry:
     committed_us: int | None = None
     active: bool = True
 
+    def rebind(self, view: int, digest: bytes, block_ref: int) -> None:
+        """Bind the slot to a block in a newer view: votes restart, and
+        content fetched for a different block is dropped."""
+        if digest != self.digest:
+            self.digest = digest
+            self.block_ref = block_ref
+            self.content.clear()
+            self.tx_ids = None
+            self.pre_prepared = False
+            self.content_ok = False
+        self.view = view
+        self.prepares = set()
+        self.commits = set()
+        self.sent_commit = False
+        self.active = True
+
 
 class Replica:
     def __init__(self, node: int, engine: Engine, config: ReplicaConfig,
@@ -127,7 +143,6 @@ class Replica:
         # Sequence numbers below our proposal horizon that were
         # abandoned by a view change; refilled first.
         self.hole_seqs: set = set()
-        self.rejected = 0
 
         self.last_progress_us = 0
         self.view_started_us = 0
@@ -255,13 +270,21 @@ class Replica:
 
     def _announce(self, entry: Entry, now_us: int,
                   with_content: bool) -> None:
-        head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
-                       recipient=None, view=self.view, seq=entry.seq,
-                       digest=entry.digest, block_ref=entry.block_ref,
-                       timestamp=self._ms(now_us))
-        self.engine.broadcast(self.node, head)
+        self._send_pre_prepare(self.view, entry.seq, entry.digest,
+                               entry.block_ref, now_us)
         if with_content:
             self._send_content(entry, None, range(len(entry.tx_ids)))
+
+    def _send_pre_prepare(self, view: int, seq: int, digest: bytes,
+                          block_ref: int, now_us: int,
+                          dst: int | None = None) -> None:
+        head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
+                       recipient=dst, view=view, seq=seq, digest=digest,
+                       block_ref=block_ref, timestamp=self._ms(now_us))
+        if dst is None:
+            self.engine.broadcast(self.node, head)
+        else:
+            self.engine.send(self.node, dst, head)
 
     def _send_content(self, entry: Entry, dst: int | None,
                       positions) -> None:
@@ -329,39 +352,19 @@ class Replica:
             entry.view = msg.view
             self._refresh_content(entry)
             return entry
-        if entry.digest != msg.digest:
-            # Same slot, different block: only a later view can rebind
-            # it (the old binding died with its view).
-            if msg.view > entry.view:
-                entry.digest = msg.digest
-                entry.block_ref = msg.block_ref
-                entry.view = msg.view
-                entry.content.clear()
-                entry.tx_ids = None
-                entry.pre_prepared = False
-                entry.content_ok = False
-                entry.prepares = set()
-                entry.commits = set()
-                entry.sent_commit = False
-                entry.active = True
-                self.open_seqs.add(entry.seq)
-                return entry
-            return None
         if msg.view > entry.view:
-            # Same block re-announced in a newer view: votes restart.
-            entry.view = msg.view
-            entry.prepares = set()
-            entry.commits = set()
-            entry.sent_commit = False
-            entry.active = True
+            # A newer view rebinds the slot, to the same block or to a
+            # different one (the old binding died with its view).
+            entry.rebind(msg.view, msg.digest, msg.block_ref)
             self.open_seqs.add(entry.seq)
+        elif entry.digest != msg.digest:
+            return None
         return entry
 
     def _on_pre_prepare(self, msg: Message, now_us: int) -> None:
         if msg.view < self.view:
             return
         if msg.sender != self.primary_of(msg.view):
-            self.rejected += 1
             return
         entry = self._get_or_create(msg, now_us)
         if entry is None or msg.view < entry.view:
@@ -527,12 +530,8 @@ class Replica:
         # itself; without it the requester can neither verify content
         # nor vote, so a lost one must be recoverable here.
         if entry.pre_prepared and self.primary_of(entry.view) == self.node:
-            head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
-                           recipient=requester, view=entry.view,
-                           seq=entry.seq, digest=entry.digest,
-                           block_ref=entry.block_ref,
-                           timestamp=self._ms(now_us))
-            self.engine.send(self.node, requester, head)
+            self._send_pre_prepare(entry.view, entry.seq, entry.digest,
+                                   entry.block_ref, now_us, dst=requester)
         # Strongest vote we can restate for this entry.
         if entry.sent_commit or entry.committed:
             self._send_vote(MsgKind.COMMIT, entry, now_us, dst=requester)
@@ -660,30 +659,17 @@ class Replica:
                 entry = Entry(seq=seq, view=target, digest=digest,
                               block_ref=ref, created_us=now_us)
                 self.entries[seq] = entry
-            if entry.committed:
-                # Help laggards: re-announce, answer with a vouch.
-                pass
-            elif entry.digest != digest:
-                entry.digest = digest
-                entry.block_ref = ref
-                entry.content.clear()
-                entry.tx_ids = None
-                entry.content_ok = False
+            # Committed entries are re-announced too: peers that hold
+            # them answer with a commit vouch, which helps laggards.
             if not entry.committed:
-                entry.view = target
+                entry.rebind(target, digest, ref)
                 entry.pre_prepared = True
                 entry.prepares = {self.node}
-                entry.commits = set()
-                entry.sent_commit = False
-                entry.active = True
                 self.open_seqs.add(seq)
                 self.frozen_seqs.add(seq)
                 self._refresh_content(entry)
-            head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
-                           recipient=None, view=target, seq=seq,
-                           digest=entry.digest, block_ref=entry.block_ref,
-                           timestamp=self._ms(now_us))
-            self.engine.broadcast(self.node, head)
+            self._send_pre_prepare(target, seq, entry.digest,
+                                   entry.block_ref, now_us)
             if entry.content_ok and not entry.committed:
                 self._send_content(entry, None, range(len(entry.tx_ids)))
                 self._maybe_prepare(entry, now_us)
@@ -754,18 +740,12 @@ class EquivocatingReplica(Replica):
                                  for p in range(len(alt_ids))]))
         half = len(peers) // 2
         for dst in peers[:half]:
-            head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
-                           recipient=dst, view=self.view, seq=entry.seq,
-                           digest=entry.digest, block_ref=entry.block_ref,
-                           timestamp=self._ms(now_us))
-            self.engine.send(self.node, dst, head)
+            self._send_pre_prepare(self.view, entry.seq, entry.digest,
+                                   entry.block_ref, now_us, dst=dst)
             self._send_content(entry, dst, range(len(entry.tx_ids)))
         for dst in peers[half:]:
-            head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
-                           recipient=dst, view=self.view, seq=entry.seq,
-                           digest=alt_digest, block_ref=alt_ref,
-                           timestamp=self._ms(now_us))
-            self.engine.send(self.node, dst, head)
+            self._send_pre_prepare(self.view, entry.seq, alt_digest, alt_ref,
+                                   now_us, dst=dst)
             for pos, tx in enumerate(alt_txs):
                 relay = Message(kind=MsgKind.CLIENT_REQUEST,
                                 sender=self.node, recipient=dst,

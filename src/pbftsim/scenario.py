@@ -11,7 +11,8 @@ duration, and returns the finalized report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 from .metrics import Metrics, MetricsReport, finalize
 from .netsim import (PROFILES, DeviceProfile, Engine, LatencyModel,
@@ -81,36 +82,14 @@ class ScenarioConfig:
         return LatencyModel(self.latency_dist, self.latency_mean_s)
 
     def echo(self) -> dict:
-        """Summary fields identifying the run in its report."""
-        echo = {
-            "nodes": self.nodes,
-            "block_size": self.block_size,
-            "generation_period_s": float(self.generation_period_s),
-            "device_profile": self.device_profile,
-            "latency_dist": self.latency_dist,
-            "latency_mean_s": float(self.latency_mean_s),
-            "duration_s": self.duration_s,
-            "retry_period_s": float(self.retry_period_s),
-            "view_change_timeout_s": float(self.view_change_timeout_s),
-            "jitter": float(self.jitter),
-            "seed": self.seed,
-        }
-        if self.buffer_capacity_bytes is not None:
-            echo["buffer_capacity_bytes"] = self.buffer_capacity_bytes
-        if self.crashes:
-            echo["crashes"] = _format_crashes(self.crashes)
-        if self.equivocators:
-            echo["equivocators"] = ",".join(str(v) for v in self.equivocators)
+        """Summary fields identifying the run in its report: every key
+        in ``CONFIG_KEYS`` order, the optional ones only when set."""
+        echo = {}
+        for name, key in CONFIG_KEYS.items():
+            value = getattr(self, name)
+            if not (key.optional and value in (None, ())):
+                echo[name] = key.show(value)
         return echo
-
-
-_INT_KEYS = {"nodes", "block_size", "duration_s", "seed",
-             "buffer_capacity_bytes"}
-_FLOAT_KEYS = {"generation_period_s", "latency_mean_s", "retry_period_s",
-               "view_change_timeout_s", "jitter"}
-_STR_KEYS = {"device_profile", "latency_dist"}
-_LIST_KEYS = {"crashes", "equivocators"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
 
 
 def _parse_crashes(value: str) -> tuple[tuple[int, float], ...]:
@@ -128,6 +107,59 @@ def _format_crashes(crashes) -> str:
     return ",".join(f"{node}@{at_s:g}" for node, at_s in crashes)
 
 
+def _parse_node_list(value: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in value.split(",") if v.strip())
+
+
+def _format_node_list(nodes) -> str:
+    return ",".join(str(v) for v in nodes)
+
+
+class ConfigKey(NamedTuple):
+    """How one ``ScenarioConfig`` field is read from and shown in text."""
+
+    parse: Callable[[str], object]
+    show: Callable[[object], object]  # the value as the report echoes it
+    optional: bool  # left out of echo and format_config when unset
+
+
+# The non-scalar fields; every other field parses with its type.
+_CODECS = {"crashes": (_parse_crashes, _format_crashes),
+           "equivocators": (_parse_node_list, _format_node_list)}
+
+
+def _as_is(value):
+    return value
+
+
+def _config_keys() -> dict[str, ConfigKey]:
+    hints = get_type_hints(ScenarioConfig)
+    keys = {}
+    for f in fields(ScenarioConfig):
+        if f.name in _CODECS:
+            parse, show = _CODECS[f.name]
+        else:
+            hint = hints[f.name]
+            # ``int | None`` parses as int
+            parse = next((t for t in get_args(hint) if t is not type(None)),
+                         hint)
+            show = float if parse is float else _as_is
+        keys[f.name] = ConfigKey(parse, show, f.default in (None, ()))
+    # fields that are always present first, then the optional ones;
+    # the sort is stable, so each group keeps declaration order
+    return dict(sorted(keys.items(), key=lambda item: item[1].optional))
+
+
+CONFIG_KEYS = _config_keys()
+
+
+def format_value(value) -> str:
+    """Text of a config value: floats in shortest form."""
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
+
+
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse key=value lines; '#' starts a comment."""
     config = ScenarioConfig()
@@ -142,23 +174,13 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
         if not sep or not key:
             raise ValueError(f"{source}:{lineno}: expected key=value, "
                              f"got {line!r}")
-        if key not in _ALL_KEYS:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ValueError(f"{source}:{lineno}: duplicate key {key!r}")
         seen.add(key)
         try:
-            if key in _INT_KEYS:
-                setattr(config, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(config, key, float(value))
-            elif key == "crashes":
-                config.crashes = _parse_crashes(value)
-            elif key == "equivocators":
-                config.equivocators = tuple(
-                    int(v) for v in value.split(",") if v.strip())
-            else:
-                setattr(config, key, value)
+            setattr(config, key, CONFIG_KEYS[key].parse(value))
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: bad value for "
                              f"{key!r}: {exc}") from None
@@ -176,28 +198,9 @@ def parse_config(path) -> ScenarioConfig:
 
 
 def format_config(config: ScenarioConfig) -> str:
-    """Inverse of parse_config_text for the default-relevant keys."""
-    lines = [
-        f"nodes = {config.nodes}",
-        f"block_size = {config.block_size}",
-        f"generation_period_s = {config.generation_period_s:g}",
-        f"device_profile = {config.device_profile}",
-        f"latency_dist = {config.latency_dist}",
-        f"latency_mean_s = {config.latency_mean_s:g}",
-        f"duration_s = {config.duration_s}",
-        f"retry_period_s = {config.retry_period_s:g}",
-        f"view_change_timeout_s = {config.view_change_timeout_s:g}",
-        f"jitter = {config.jitter:g}",
-        f"seed = {config.seed}",
-    ]
-    if config.buffer_capacity_bytes is not None:
-        lines.append(f"buffer_capacity_bytes = {config.buffer_capacity_bytes}")
-    if config.crashes:
-        lines.append(f"crashes = {_format_crashes(config.crashes)}")
-    if config.equivocators:
-        joined = ",".join(str(v) for v in config.equivocators)
-        lines.append(f"equivocators = {joined}")
-    return "\n".join(lines) + "\n"
+    """Inverse of parse_config_text for the keys the report echoes."""
+    return "".join(f"{key} = {format_value(value)}\n"
+                   for key, value in config.echo().items())
 
 
 @dataclass

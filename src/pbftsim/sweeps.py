@@ -21,24 +21,21 @@ from importlib import resources
 import numpy as np
 
 from .metrics import MetricsReport
-from .scenario import ScenarioConfig, parse_config_text, run_scenario
+from .scenario import (CONFIG_KEYS, ScenarioConfig, format_value,
+                       parse_config_text, run_scenario)
 
 __all__ = ["SweepSpec", "SweepRun", "SweepResult", "PRESETS",
            "load_preset", "parse_sweep_text", "derive_seed", "run_sweep",
            "emit_csv", "emit_plot_data", "LoadPoint", "LoadStudy",
-           "run_load_study", "fit_load_curve", "render_load_study",
-           "LOAD_STUDY_NODES"]
+           "run_load_study", "fit_load_curve", "render_load_study"]
 
 LOAD_CSV_HEADER = "scenario,axis_value,minute,committed\n"
-LOAD_STUDY_NODES = (5, 10, 15, 20, 25, 30)
 _SATURATED = 0.995
 
-# Axis keys that may be swept, by value type.
-_INT_AXES = {"nodes", "block_size", "buffer_capacity_bytes", "duration_s"}
-_FLOAT_AXES = {"generation_period_s", "latency_mean_s", "retry_period_s",
-               "view_change_timeout_s", "jitter"}
-_STR_AXES = {"device_profile", "latency_dist"}
-_AXES = _INT_AXES | _FLOAT_AXES | _STR_AXES
+# Axis keys that may be swept: the scalar scenario keys (those parsed
+# by their type), apart from the seed, which every run derives.
+_AXES = {name: key.parse for name, key in CONFIG_KEYS.items()
+         if isinstance(key.parse, type) and name != "seed"}
 
 # Packaged experiment definitions: registry name -> resource file.
 PRESETS = {
@@ -59,7 +56,6 @@ class SweepSpec:
     axis2: str | None = None
     values2: tuple = ()
     repetitions: int = 1
-    seed_policy: str = "derive"  # or "same"
 
     def __post_init__(self):
         for axis in filter(None, (self.axis, self.axis2)):
@@ -71,8 +67,6 @@ class SweepSpec:
             raise ValueError("second axis declared without values")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.seed_policy not in ("derive", "same"):
-            raise ValueError("seed_policy must be 'derive' or 'same'")
 
     @property
     def master_seed(self) -> int:
@@ -83,20 +77,6 @@ def derive_seed(master: int, idx: int, rep: int) -> int:
     """Stable per-run seed from the master seed and run coordinates."""
     tag = f"{master}:{idx}:{rep}".encode()
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
-
-
-def _parse_axis_value(axis: str, text: str):
-    if axis in _INT_AXES:
-        return int(text)
-    if axis in _FLOAT_AXES:
-        return float(text)
-    return text
-
-
-def _fmt_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)
 
 
 _SWEEP_KEYS = ("axis", "values", "axis2", "values2", "repetitions")
@@ -133,7 +113,9 @@ def parse_sweep_text(text: str, name: str = "sweep",
             continue
         lineno, joined = sweep[key]
         try:
-            sweep[key] = tuple(_parse_axis_value(ax, v.strip())
+            # an unknown axis keeps its values as text; SweepSpec
+            # rejects it by name
+            sweep[key] = tuple(_AXES.get(ax, str)(v.strip())
                                for v in joined.split(",") if v.strip())
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: bad {key}: {exc}") from None
@@ -205,18 +187,15 @@ def run_sweep(spec: SweepSpec, trace: bool = False) -> SweepResult:
     result = SweepResult(spec)
     for idx, value, value2 in _sweep_points(spec):
         for rep in range(spec.repetitions):
-            if spec.seed_policy == "derive":
-                seed = derive_seed(spec.master_seed, idx, rep)
-            else:
-                seed = spec.master_seed
+            seed = derive_seed(spec.master_seed, idx, rep)
             overrides = {spec.axis: value, "seed": seed}
             if spec.axis2 is not None:
                 overrides[spec.axis2] = value2
             config = replace(spec.base, **overrides)
             run = run_scenario(config, trace=trace)
-            parts = [spec.name, _fmt_value(value)]
+            parts = [spec.name, format_value(value)]
             if value2 is not None:
-                parts.append(_fmt_value(value2))
+                parts.append(format_value(value2))
             parts.append(f"r{rep}")
             result.runs.append(SweepRun(
                 scenario_id=":".join(parts), axis_value=value,
@@ -232,7 +211,7 @@ def emit_csv(result: SweepResult) -> str:
     minute index, blocks committed in that minute."""
     lines = [LOAD_CSV_HEADER.rstrip("\n")]
     for run in result.runs:
-        value = _fmt_value(run.axis_value)
+        value = format_value(run.axis_value)
         for minute, blocks, _ in run.report.minutes:
             lines.append(f"{run.scenario_id},{value},{minute},{blocks}")
     return "\n".join(lines) + "\n"
@@ -240,8 +219,8 @@ def emit_csv(result: SweepResult) -> str:
 
 def _curve_label(run: SweepRun) -> str:
     if run.axis2_value is None:
-        return _fmt_value(run.axis_value)
-    return f"{_fmt_value(run.axis_value)}/{_fmt_value(run.axis2_value)}"
+        return format_value(run.axis_value)
+    return f"{format_value(run.axis_value)}/{format_value(run.axis2_value)}"
 
 
 def emit_plot_data(result: SweepResult) -> str:
@@ -289,25 +268,25 @@ class LoadStudy:
         raise KeyError(nodes)
 
 
-def run_load_study(base: ScenarioConfig,
-                   nodes: tuple = LOAD_STUDY_NODES,
+def run_load_study(base: ScenarioConfig, nodes: tuple,
                    master_seed: int | None = None) -> LoadStudy:
     """Run the base scenario across network sizes and fit the busiest
     node's utilisation against size.
 
-    The fit is linear over the pre-saturation points and extrapolated
-    to the size where utilisation reaches 1.0.  If utilisation does
-    not grow monotonically with size, no extrapolation is reported.
+    The sizes are a one-axis sweep on ``nodes``, one repetition each,
+    seeded from ``master_seed`` (the base seed by default).  The fit
+    is linear over the pre-saturation points and extrapolated to the
+    size where utilisation reaches 1.0.  If utilisation does not grow
+    monotonically with size, no extrapolation is reported.
     """
-    if master_seed is None:
-        master_seed = base.seed
-    points = []
-    for idx, n in enumerate(nodes):
-        config = replace(base, nodes=n,
-                         seed=derive_seed(master_seed, idx, 0))
-        run = run_scenario(config)
-        load = max(row["load"] for row in run.report.nodes)
-        points.append(LoadPoint(nodes=n, load=load, report=run.report))
+    if master_seed is not None:
+        base = replace(base, seed=master_seed)
+    spec = SweepSpec(name="load-study", base=base, axis="nodes",
+                     values=tuple(nodes))
+    points = [LoadPoint(nodes=run.axis_value,
+                        load=max(row["load"] for row in run.report.nodes),
+                        report=run.report)
+              for run in run_sweep(spec).runs]
     slope, intercept, saturation, warning = fit_load_curve(
         [(p.nodes, p.load) for p in points])
     return LoadStudy(points=points, slope=slope, intercept=intercept,

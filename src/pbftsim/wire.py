@@ -41,7 +41,6 @@ from enum import IntEnum
 __all__ = [
     "MsgKind",
     "Transaction",
-    "Block",
     "Message",
     "BROADCAST",
     "WireFormatError",
@@ -163,20 +162,6 @@ class Transaction:
         return (self.origin, self.counter)
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
-    """An ordered batch of transactions proposed at one ledger height."""
-
-    height: int
-    tx_ids: tuple[tuple[int, int], ...]
-    digest: bytes
-    ref: int
-
-    @property
-    def size(self) -> int:
-        return len(self.tx_ids)
-
-
 def block_digest(height: int, tx_ids) -> bytes:
     """Deterministic digest over the height and the ordered id list."""
     ids = tuple(tx_ids)
@@ -195,14 +180,6 @@ def block_digest(height: int, tx_ids) -> bytes:
 def block_ref_from_digest(digest: bytes) -> int:
     """Compact 8-byte block identity used in the fixed field block."""
     return int.from_bytes(digest[:8], "little")
-
-
-def make_block(height: int, txs) -> Block:
-    """Build a block from an ordered iterable of transactions."""
-    ids = tuple(t.tx_id for t in txs)
-    digest = block_digest(height, ids)
-    return Block(height=height, tx_ids=ids, digest=digest,
-                 ref=block_ref_from_digest(digest))
 
 
 @dataclass(slots=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .netsim import US_PER_S, to_us
 from .wire import Transaction
 
-__all__ = ["GeneratorConfig", "TransactionSource", "build_sources"]
+__all__ = ["GeneratorConfig", "TransactionSource"]
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,3 @@ class TransactionSource:
     def phase_s(self, n: int) -> float:
         return (self.node / n) * self.config.period_s
 
-
-def build_sources(n: int, config: GeneratorConfig):
-    """One source per node with staggered start times.
-
-    Returns a list of (source, first_at_s) pairs ready to attach.
-    """
-    sources = []
-    for node in range(n):
-        src = TransactionSource(node, config)
-        sources.append((src, src.phase_s(n)))
-    return sources

@@ -110,6 +110,21 @@ class TestLoadStudy:
         assert "[points]" in text
         assert "\n4," in text and "\n6," in text
 
+    def test_nodes_default_to_preset_values(self, tmp_path, capsys):
+        sweep = tmp_path / "s.cfg"
+        sweep.write_text(QUICK_SWEEP.replace("axis = block_size",
+                                             "axis = nodes")
+                         .replace("values = 2,5", "values = 4,6"))
+        assert main(["load-study", "--preset", str(sweep)]) == 0
+        assert "nodes=4,6\n" in capsys.readouterr().out
+
+    def test_nodes_required_when_preset_sweeps_another_axis(
+            self, tmp_path, capsys):
+        sweep = tmp_path / "s.cfg"
+        sweep.write_text(QUICK_SWEEP)
+        assert main(["load-study", "--preset", str(sweep)]) == 1
+        assert "--nodes" in capsys.readouterr().err
+
     def test_profile_override(self, tmp_path, capsys):
         sweep = tmp_path / "s.cfg"
         sweep.write_text(QUICK_SWEEP.replace("axis = block_size",

@@ -297,7 +297,7 @@ class TestQuorums:
         head = Message(kind=MsgKind.PRE_PREPARE, sender=2, recipient=None,
                        view=0, seq=1, digest=bytes(32))
         backup.on_message(head, 0)
-        assert backup.rejected == 1
+        assert engine.sent == []
         assert 1 not in backup.entries
 
     def test_stale_view_vote_dropped(self):

@@ -1,13 +1,14 @@
 """Sweep harness, presets and the load study."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from pbftsim.scenario import ScenarioConfig
-from pbftsim.sweeps import (LOAD_STUDY_NODES, PRESETS, SweepSpec, derive_seed,
-                            emit_csv, emit_plot_data, fit_load_curve,
-                            load_preset, parse_sweep_text, render_load_study,
+from pbftsim.sweeps import (PRESETS, SweepSpec, derive_seed, emit_csv,
+                            emit_plot_data, fit_load_curve, load_preset,
+                            parse_sweep_text, render_load_study,
                             run_load_study, run_sweep)
 
 SWEEP_TEXT = """\
@@ -113,11 +114,6 @@ class TestRunSweep:
         b = run_sweep(spec)
         assert [r.seed for r in a.runs] != [r.seed for r in b.runs]
 
-    def test_same_seed_policy(self):
-        spec = small_spec(seed_policy="same")
-        result = run_sweep(spec)
-        assert {run.seed for run in result.runs} == {9}
-
     def test_totals_grouped_by_point(self):
         result = run_sweep(small_spec())
         totals = result.totals()
@@ -163,7 +159,15 @@ class TestLoadStudy:
         assert study.saturation_nodes > 16
 
     def test_default_grid(self):
-        assert LOAD_STUDY_NODES == (5, 10, 15, 20, 25, 30)
+        assert load_preset("EXP-LOAD").values == (5, 10, 15, 20, 25, 30)
+
+    def test_output_is_pinned(self):
+        # SHA-256 of the rendered study, taken when the study ran its
+        # own loop; running it as a sweep must not change a byte.
+        text = render_load_study(run_load_study(self.base(),
+                                                nodes=(4, 8, 12)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8bd07de85bdc038023b79251185abb212287242acdddf1f38b2ab479a0457abd")
 
     def test_render_contains_points_and_fit(self):
         study = run_load_study(self.base(), nodes=(4, 8))

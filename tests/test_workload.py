@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pbftsim.workload import GeneratorConfig, TransactionSource, build_sources
+from pbftsim.workload import GeneratorConfig, TransactionSource
 
 
 def drive(source, rng, first_at_us=0):
@@ -60,12 +60,6 @@ class TestStagger:
         cfg = GeneratorConfig(period_s=5.0, payload_bytes=1000)
         phases = [TransactionSource(k, cfg).phase_s(4) for k in range(4)]
         assert phases == [0.0, 1.25, 2.5, 3.75]
-
-    def test_build_sources_assigns_phases(self):
-        cfg = GeneratorConfig(period_s=10.0, payload_bytes=1000)
-        pairs = build_sources(5, cfg)
-        assert [first for _, first in pairs] == [0.0, 2.0, 4.0, 6.0, 8.0]
-        assert [s.node for s, _ in pairs] == [0, 1, 2, 3, 4]
 
 
 class TestJitter:
