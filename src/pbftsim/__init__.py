@@ -7,7 +7,7 @@ The package is organised as a small library:
     netsim    event queue, device profiles, links, buffers, latency
     replica   the consensus state machine run at every node
     workload  periodic transaction generation
-    metrics   per-run measurement collection and CSV reports
+    metrics   report building, rendering and parsing
     scenario  scenario configuration, parsing and single runs
     sweeps    experiment presets, sweep harness, load study
     cli       command line front end (run / sweep / load-study)

@@ -1,10 +1,12 @@
-"""Run observables and the serialized report.
+"""Run report: building it from a finished engine, rendering and parsing.
 
-Collected per run: committed blocks binned per minute (the plotted
+The counters live where their events happen: each replica counts its
+committed blocks and transactions per minute, its retry requests,
+duplicate protocol messages and view changes; the engine counts
+ingress-buffer drops and per-node busy time.  ``finalize`` reads them
+off ``engine.replicas`` once the run is over.  The plotted per-minute
 series comes from one designated observer node — node 0 unless it
-crashed, else the lowest-id never-crashed node), retry requests,
-ingress-buffer drops, duplicate protocol messages, view changes, and
-per-node load (busy fraction of the run, processing plus NIC time).
+crashed, else the lowest-id never-crashed node.
 
 The report serializes to delimited text: a versioned summary block of
 key=value lines, then one CSV row per (minute, observer commits),
@@ -16,84 +18,25 @@ the same seed produce identical reports.
 from __future__ import annotations
 
 import io
+from dataclasses import dataclass
 
-__all__ = ["Metrics", "MetricsReport", "write_report", "read_report",
-           "render_report"]
+__all__ = ["MetricsReport", "write_report", "read_report", "render_report"]
 
 REPORT_VERSION = "consensus-sim-report/1"
 
 
-class Metrics:
-    """Mutable per-run counters, owned by the engine's thread."""
-
-    def __init__(self, n: int):
-        self.n = n
-        # node -> {minute: blocks}; transactions tracked alongside.
-        self.blocks_by_minute = [dict() for _ in range(n)]
-        self.txs_by_minute = [dict() for _ in range(n)]
-        self.blocks_total = [0] * n
-        self.txs_total = [0] * n
-        self.retries = [0] * n
-        self.duplicates = [0] * n
-        self.vc_attempts = [0] * n
-        self.view_adoptions = [0] * n
-        self.final_view = [0] * n
-
-    def record_commit(self, node: int, height: int, n_txs: int,
-                      now_us: int) -> None:
-        minute = now_us // 60_000_000
-        bins = self.blocks_by_minute[node]
-        bins[minute] = bins.get(minute, 0) + 1
-        tbins = self.txs_by_minute[node]
-        tbins[minute] = tbins.get(minute, 0) + n_txs
-        self.blocks_total[node] += 1
-        self.txs_total[node] += n_txs
-
-    def record_retry(self, node: int) -> None:
-        self.retries[node] += 1
-
-    def record_duplicate(self, node: int) -> None:
-        self.duplicates[node] += 1
-
-    def record_view_change_attempt(self, node: int) -> None:
-        self.vc_attempts[node] += 1
-
-    def record_view_adoption(self, node: int, view: int) -> None:
-        self.view_adoptions[node] += 1
-        self.final_view[node] = view
-
-    def observer(self, crashed) -> int:
-        for node in range(self.n):
-            if not crashed[node]:
-                return node
-        return 0
-
-    def minutes_series(self, node: int, duration_s: float) -> list[int]:
-        count = int(duration_s) // 60
-        bins = self.blocks_by_minute[node]
-        return [bins.get(m, 0) for m in range(count)]
-
-
+@dataclass
 class MetricsReport:
-    """Finalized, immutable run results.
+    """Finalized run results.
 
     ``summary`` is an ordered mapping of string keys to canonical
     string values; ``minutes`` is the observer's per-minute committed
     block counts; ``nodes`` holds one row of per-node counters.
     """
 
-    def __init__(self, summary: dict[str, str],
-                 minutes: list[tuple[int, int, int]],
-                 nodes: list[dict]):
-        self.summary = summary
-        self.minutes = minutes
-        self.nodes = nodes
-
-    def __eq__(self, other):
-        return (isinstance(other, MetricsReport)
-                and self.summary == other.summary
-                and self.minutes == other.minutes
-                and self.nodes == other.nodes)
+    summary: dict[str, str]
+    minutes: list[tuple[int, int, int]]
+    nodes: list[dict]
 
     @property
     def total_committed(self) -> int:
@@ -123,49 +66,50 @@ _NODE_COLUMNS = ("node", "load", "cpu_busy_s", "nic_busy_s", "blocks",
 _NODE_FLOAT_COLUMNS = {"load", "cpu_busy_s", "nic_busy_s"}
 
 
-def finalize(metrics: Metrics, engine, duration_s: float,
-             config_echo: dict) -> MetricsReport:
-    """Build the immutable report after the engine reached duration."""
+def finalize(engine, duration_s: float, config_echo: dict) -> MetricsReport:
+    """Build the report once the engine has reached duration."""
     if engine.now_us < int(duration_s * 1_000_000):
         raise RuntimeError("run has not reached its configured duration")
-    n = metrics.n
-    observer = metrics.observer(engine.crashed)
+    replicas = engine.replicas
+    n = len(replicas)
+    observer = next((node for node, dead in enumerate(engine.crashed)
+                     if not dead), 0)
+    obs = replicas[observer]
     duration_us = duration_s * 1_000_000
+    retries = sum(r.retries for r in replicas)
 
     summary: dict[str, str] = {"version": REPORT_VERSION}
     for key, value in config_echo.items():
         summary[key] = _fmt(value)
     summary["observer"] = str(observer)
-    summary["committed_blocks"] = str(metrics.blocks_total[observer])
-    summary["committed_txs"] = str(metrics.txs_total[observer])
-    summary["view_changes"] = str(metrics.view_adoptions[observer])
-    summary["retries_total"] = str(sum(metrics.retries))
-    summary["avg_retries"] = _fmt(sum(metrics.retries) / n)
+    summary["committed_blocks"] = str(len(obs.ledger))
+    summary["committed_txs"] = str(obs.committed_txs)
+    summary["view_changes"] = str(obs.view_adoptions)
+    summary["retries_total"] = str(retries)
+    summary["avg_retries"] = _fmt(retries / n)
     summary["drops_total"] = str(sum(engine.dropped))
-    summary["duplicates_total"] = str(sum(metrics.duplicates))
+    summary["duplicates_total"] = str(sum(r.duplicates for r in replicas))
     summary["sent_packets"] = str(engine.sent_packets)
 
-    minutes = []
-    series = metrics.minutes_series(observer, duration_s)
-    tx_bins = metrics.txs_by_minute[observer]
-    for minute, blocks in enumerate(series):
-        minutes.append((minute, blocks, tx_bins.get(minute, 0)))
+    minutes = [(minute, obs.blocks_by_minute.get(minute, 0),
+                obs.txs_by_minute.get(minute, 0))
+               for minute in range(int(duration_s) // 60)]
 
     nodes = []
-    for node in range(n):
+    for node, r in enumerate(replicas):
         busy_us = engine.busy_cpu_us[node] + engine.busy_nic_us[node]
         nodes.append({
             "node": node,
             "load": min(1.0, busy_us / duration_us),
             "cpu_busy_s": engine.busy_cpu_us[node] / 1_000_000,
             "nic_busy_s": engine.busy_nic_us[node] / 1_000_000,
-            "blocks": metrics.blocks_total[node],
-            "txs": metrics.txs_total[node],
-            "retries": metrics.retries[node],
+            "blocks": len(r.ledger),
+            "txs": r.committed_txs,
+            "retries": r.retries,
             "drops": engine.dropped[node],
-            "duplicates": metrics.duplicates[node],
-            "view_changes": metrics.view_adoptions[node],
-            "final_view": metrics.final_view[node],
+            "duplicates": r.duplicates,
+            "view_changes": r.view_adoptions,
+            "final_view": r.view,
             "crashed": int(engine.crashed[node]),
         })
     return MetricsReport(summary, minutes, nodes)

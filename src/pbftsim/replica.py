@@ -98,7 +98,6 @@ class Entry:
     commits: set = field(default_factory=set)
     sent_commit: bool = False
     committed: bool = False
-    committed_us: int | None = None
     active: bool = True
 
     def rebind(self, view: int, digest: bytes, block_ref: int) -> None:
@@ -119,12 +118,10 @@ class Entry:
 
 
 class Replica:
-    def __init__(self, node: int, engine: Engine, config: ReplicaConfig,
-                 metrics=None):
+    def __init__(self, node: int, engine: Engine, config: ReplicaConfig):
         self.node = node
         self.engine = engine
         self.config = config
-        self.metrics = metrics
         n = config.n
         self.f = fault_tolerance(n)
         self.prepare_q = prepare_quorum(n)
@@ -144,13 +141,21 @@ class Replica:
         # abandoned by a view change; refilled first.
         self.hole_seqs: set = set()
 
-        self.last_progress_us = 0
         self.view_started_us = 0
         self.vc_attempts = 0
         self.vc_target: int | None = None
         # target view -> {voter: set of (seq, digest, block_ref)}
         self.vc_votes: dict[int, dict[int, set]] = {}
         self._vc_timer_at: int | None = None
+
+        # Run counters, read by metrics.finalize.
+        self.retries = 0
+        self.duplicates = 0
+        self.view_adoptions = 0
+        self.committed_txs = 0
+        # minute -> blocks / transactions appended to the ledger
+        self.blocks_by_minute: dict[int, int] = {}
+        self.txs_by_minute: dict[int, int] = {}
 
         self._handlers = {
             MsgKind.TX_BROADCAST: self._on_tx,
@@ -180,9 +185,11 @@ class Replica:
     def _ms(self, now_us: int) -> int:
         return now_us // 1000
 
-    def _dup(self):
-        if self.metrics is not None:
-            self.metrics.record_duplicate(self.node)
+    def _emit(self, msg: Message) -> None:
+        if msg.recipient is None:
+            self.engine.broadcast(self.node, msg)
+        else:
+            self.engine.send(self.node, msg.recipient, msg)
 
     def _pending_work(self) -> bool:
         return bool(self.mempool) or bool(self.open_seqs)
@@ -216,7 +223,7 @@ class Replica:
     def _admit_tx(self, tx: Transaction, now_us: int, forward: bool) -> None:
         tid = tx.tx_id
         if tid in self.committed_ids or tid in self.mempool:
-            self._dup()
+            self.duplicates += 1
             return
         self.mempool[tid] = tx
         self._arm_vc(now_us)
@@ -226,10 +233,9 @@ class Replica:
             self._forward_tx(tx, self.primary_of(self.view), now_us)
 
     def _forward_tx(self, tx: Transaction, dst: int, now_us: int) -> None:
-        msg = Message(kind=MsgKind.TX_BROADCAST, sender=self.node,
-                      recipient=dst, view=self.view, seq=0, tx=tx,
-                      timestamp=int(tx.created_at * 1000))
-        self.engine.send(self.node, dst, msg)
+        self._emit(Message(kind=MsgKind.TX_BROADCAST, sender=self.node,
+                           recipient=dst, view=self.view, seq=0, tx=tx,
+                           timestamp=int(tx.created_at * 1000)))
 
     def _on_tx(self, msg: Message, now_us: int) -> None:
         # Forwarded transactions are held, not re-forwarded: if the
@@ -278,13 +284,9 @@ class Replica:
     def _send_pre_prepare(self, view: int, seq: int, digest: bytes,
                           block_ref: int, now_us: int,
                           dst: int | None = None) -> None:
-        head = Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
-                       recipient=dst, view=view, seq=seq, digest=digest,
-                       block_ref=block_ref, timestamp=self._ms(now_us))
-        if dst is None:
-            self.engine.broadcast(self.node, head)
-        else:
-            self.engine.send(self.node, dst, head)
+        self._emit(Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
+                           recipient=dst, view=view, seq=seq, digest=digest,
+                           block_ref=block_ref, timestamp=self._ms(now_us)))
 
     def _send_content(self, entry: Entry, dst: int | None,
                       positions) -> None:
@@ -292,13 +294,10 @@ class Replica:
             tx = entry.content.get(pos)
             if tx is None:
                 continue
-            relay = Message(kind=MsgKind.CLIENT_REQUEST, sender=self.node,
-                            recipient=dst, view=self.view, seq=entry.seq,
-                            tx=tx, block_ref=entry.block_ref, timestamp=pos)
-            if dst is None:
-                self.engine.broadcast(self.node, relay)
-            else:
-                self.engine.send(self.node, dst, relay)
+            self._emit(Message(kind=MsgKind.CLIENT_REQUEST, sender=self.node,
+                               recipient=dst, view=self.view, seq=entry.seq,
+                               tx=tx, block_ref=entry.block_ref,
+                               timestamp=pos))
 
     # ----------------------------------------------------- block content
 
@@ -313,7 +312,7 @@ class Replica:
             self.entries[msg.seq] = entry
             self.open_seqs.add(msg.seq)
         if entry.content_ok or pos in entry.content:
-            self._dup()
+            self.duplicates += 1
             return
         entry.content[pos] = msg.tx
         self._refresh_content(entry)
@@ -379,7 +378,7 @@ class Replica:
             return
         entry.pre_prepared = True
         if msg.sender in entry.prepares:
-            self._dup()
+            self.duplicates += 1
         entry.prepares.add(msg.sender)
         self._refresh_content(entry)
         self._maybe_prepare(entry, now_us)
@@ -397,13 +396,10 @@ class Replica:
 
     def _send_vote(self, kind: MsgKind, entry: Entry, now_us: int,
                    dst: int | None = None) -> None:
-        msg = Message(kind=kind, sender=self.node, recipient=dst,
-                      view=entry.view, seq=entry.seq, digest=entry.digest,
-                      block_ref=entry.block_ref, timestamp=self._ms(now_us))
-        if dst is None:
-            self.engine.broadcast(self.node, msg)
-        else:
-            self.engine.send(self.node, dst, msg)
+        self._emit(Message(kind=kind, sender=self.node, recipient=dst,
+                           view=entry.view, seq=entry.seq, digest=entry.digest,
+                           block_ref=entry.block_ref,
+                           timestamp=self._ms(now_us)))
 
     def _on_prepare(self, msg: Message, now_us: int) -> None:
         if msg.view < self.view:
@@ -417,7 +413,7 @@ class Replica:
         if entry is None or msg.view < entry.view:
             return
         if msg.sender in entry.prepares:
-            self._dup()
+            self.duplicates += 1
             return
         entry.prepares.add(msg.sender)
         self._maybe_prepare(entry, now_us)
@@ -444,7 +440,7 @@ class Replica:
         if entry is None or msg.view < entry.view:
             return
         if msg.sender in entry.commits:
-            self._dup()
+            self.duplicates += 1
             return
         entry.commits.add(msg.sender)
         # A commit vote implies the sender prepared; count it there
@@ -461,14 +457,12 @@ class Replica:
 
     def _commit(self, entry: Entry, now_us: int) -> None:
         entry.committed = True
-        entry.committed_us = now_us
         self.open_seqs.discard(entry.seq)
         self.hole_seqs.discard(entry.seq)
         self.committed_ids.update(entry.tx_ids)
         for tid in entry.tx_ids:
             self.mempool.pop(tid, None)
         self.frozen_seqs.discard(entry.seq)
-        self.last_progress_us = now_us
         self.vc_attempts = 0
         self.vc_target = None
         self._drain_ledger(now_us)
@@ -480,14 +474,18 @@ class Replica:
         """Append committed blocks in height order; a block above a
         not-yet-committed height waits until the gap fills."""
         height = len(self.ledger) + 1
+        minute = now_us // (60 * US_PER_S)
         while True:
             entry = self.entries.get(height)
             if entry is None or not entry.committed:
                 break
             self.ledger.append(height)
-            if self.metrics is not None:
-                self.metrics.record_commit(self.node, height,
-                                           len(entry.tx_ids), now_us)
+            n_txs = len(entry.tx_ids)
+            self.committed_txs += n_txs
+            self.blocks_by_minute[minute] = (
+                self.blocks_by_minute.get(minute, 0) + 1)
+            self.txs_by_minute[minute] = (
+                self.txs_by_minute.get(minute, 0) + n_txs)
             height += 1
 
     # ------------------------------------------------------------ retries
@@ -510,14 +508,12 @@ class Replica:
         for pos in target.content:
             if pos < 64:
                 held |= 1 << pos
-        msg = Message(kind=MsgKind.RETRY_REQUEST, sender=self.node,
-                      recipient=None, view=self.view, seq=target.seq,
-                      digest=target.digest or _ZERO_DIGEST,
-                      block_ref=target.block_ref,
-                      timestamp=self._ms(now_us), client_request=held)
-        self.engine.broadcast(self.node, msg)
-        if self.metrics is not None:
-            self.metrics.record_retry(self.node)
+        self._emit(Message(kind=MsgKind.RETRY_REQUEST, sender=self.node,
+                           recipient=None, view=self.view, seq=target.seq,
+                           digest=target.digest or _ZERO_DIGEST,
+                           block_ref=target.block_ref,
+                           timestamp=self._ms(now_us), client_request=held))
+        self.retries += 1
 
     def _on_retry_request(self, msg: Message, now_us: int) -> None:
         entry = self.entries.get(msg.seq)
@@ -590,24 +586,18 @@ class Replica:
 
     def _vote_view_change(self, target: int, now_us: int) -> None:
         self.vc_target = target
-        if self.metrics is not None:
-            self.metrics.record_view_change_attempt(self.node)
         reports = set()
         for entry in self.entries.values():
             if (not entry.committed and entry.digest is not None
                     and self.node in entry.prepares
                     and len(entry.prepares) >= max(self.prepare_q, 1)):
                 reports.add((entry.seq, entry.digest, entry.block_ref))
-        votes = [Message(kind=MsgKind.VIEW_CHANGE, sender=self.node,
-                         recipient=None, view=target, seq=0,
-                         digest=_ZERO_DIGEST, timestamp=self._ms(now_us))]
-        for seq, digest, ref in sorted(reports):
-            votes.append(Message(kind=MsgKind.VIEW_CHANGE, sender=self.node,
-                                 recipient=None, view=target, seq=seq,
-                                 digest=digest, block_ref=ref,
-                                 timestamp=self._ms(now_us)))
-        for msg in votes:
-            self.engine.broadcast(self.node, msg)
+        # A baseline vote, then one per prepared entry.
+        for seq, digest, ref in [(0, _ZERO_DIGEST, 0), *sorted(reports)]:
+            self._emit(Message(kind=MsgKind.VIEW_CHANGE, sender=self.node,
+                               recipient=None, view=target, seq=seq,
+                               digest=digest, block_ref=ref,
+                               timestamp=self._ms(now_us)))
         self._record_vc_votes(self.node, target, reports, now_us)
 
     def _record_vc_votes(self, voter: int, target: int, reports,
@@ -648,10 +638,9 @@ class Replica:
                 if current is None or digest < current[0]:
                     reports[seq] = (digest, ref)
         self._adopt_view(target, now_us)
-        announce = Message(kind=MsgKind.NEW_VIEW, sender=self.node,
+        self._emit(Message(kind=MsgKind.NEW_VIEW, sender=self.node,
                            recipient=None, view=target, seq=0,
-                           digest=_ZERO_DIGEST, timestamp=self._ms(now_us))
-        self.engine.broadcast(self.node, announce)
+                           digest=_ZERO_DIGEST, timestamp=self._ms(now_us)))
         for seq in sorted(reports):
             digest, ref = reports[seq]
             entry = self.entries.get(seq)
@@ -695,7 +684,7 @@ class Replica:
         if view <= self.view:
             return
         self.view = view
-        self.last_progress_us = now_us
+        self.view_adoptions += 1
         self.view_started_us = now_us
         self.vc_attempts = 0
         self.vc_target = None
@@ -716,8 +705,6 @@ class Replica:
                 tid = tx.tx_id
                 if tx.origin == self.node and tid not in self.committed_ids:
                     self.mempool.setdefault(tid, tx)
-        if self.metrics is not None:
-            self.metrics.record_view_adoption(self.node, view)
         self._arm_vc(now_us)
 
 
@@ -747,8 +734,7 @@ class EquivocatingReplica(Replica):
             self._send_pre_prepare(self.view, entry.seq, alt_digest, alt_ref,
                                    now_us, dst=dst)
             for pos, tx in enumerate(alt_txs):
-                relay = Message(kind=MsgKind.CLIENT_REQUEST,
-                                sender=self.node, recipient=dst,
-                                view=self.view, seq=entry.seq, tx=tx,
-                                block_ref=alt_ref, timestamp=pos)
-                self.engine.send(self.node, dst, relay)
+                self._emit(Message(kind=MsgKind.CLIENT_REQUEST,
+                                   sender=self.node, recipient=dst,
+                                   view=self.view, seq=entry.seq, tx=tx,
+                                   block_ref=alt_ref, timestamp=pos))

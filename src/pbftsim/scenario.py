@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, get_args, get_type_hints
 
-from .metrics import Metrics, MetricsReport, finalize
-from .netsim import (PROFILES, DeviceProfile, Engine, LatencyModel,
-                     TimerKind, to_us)
+from .metrics import MetricsReport, finalize
+from .netsim import PROFILES, DeviceProfile, Engine, LatencyModel, to_us
 from .replica import EquivocatingReplica, Replica, ReplicaConfig
 from .workload import GeneratorConfig, TransactionSource
 
@@ -212,8 +211,7 @@ class RunResult:
     trace_hash: str | None = None
 
 
-def run_scenario(config: ScenarioConfig, trace: bool = False,
-                 keep_trace_lines: bool = False) -> RunResult:
+def run_scenario(config: ScenarioConfig, trace: bool = False) -> RunResult:
     config.validate()
     engine = Engine(
         config.nodes,
@@ -222,9 +220,7 @@ def run_scenario(config: ScenarioConfig, trace: bool = False,
         config.seed,
         buffer_capacity=config.buffer_capacity_bytes,
         trace=trace,
-        keep_trace_lines=keep_trace_lines,
     )
-    metrics = Metrics(config.nodes)
     rconfig = ReplicaConfig(
         n=config.nodes,
         block_size=config.block_size,
@@ -235,7 +231,7 @@ def run_scenario(config: ScenarioConfig, trace: bool = False,
     replicas = []
     for node in range(config.nodes):
         cls = EquivocatingReplica if node in equivocators else Replica
-        replica = cls(node, engine, rconfig, metrics)
+        replica = cls(node, engine, rconfig)
         engine.attach_replica(node, replica)
         replicas.append(replica)
 
@@ -256,6 +252,6 @@ def run_scenario(config: ScenarioConfig, trace: bool = False,
         replica.start()
 
     engine.run(config.duration_s)
-    report = finalize(metrics, engine, config.duration_s, config.echo())
+    report = finalize(engine, config.duration_s, config.echo())
     trace_hash = engine.trace_hash() if trace else None
     return RunResult(config, report, engine, replicas, trace_hash)

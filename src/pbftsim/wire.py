@@ -93,7 +93,12 @@ SIGNATURE_SIZE = 64
 DIGEST_SIZE = 32
 DEFAULT_PAYLOAD_SIZE = 1000
 
-# Fixed field block: name -> width in bytes.  The sum is 120.
+# Frame segments around the two variable slots.
+_HEAD = struct.Struct("<BBII64s")   # header, sender lo, recipient lo, signature
+_MID = struct.Struct("<IQIQQ")      # tx type, block ref, timestamp, node id, view
+_TAIL = struct.Struct("<QQ")        # client request, seq
+
+# Fixed field block: name -> width in bytes, in frame order.
 FIXED_FIELDS = (
     ("sender_lo", 4),
     ("recipient_lo", 4),
@@ -106,7 +111,8 @@ FIXED_FIELDS = (
     ("client_request", 8),
     ("seq", 8),
 )
-FIXED_FIELDS_SIZE = sum(width for _, width in FIXED_FIELDS)
+# Read off the struct layouts, so it cannot drift from the codec: 120.
+FIXED_FIELDS_SIZE = _HEAD.size + _MID.size + _TAIL.size - HEADER_SIZE
 
 _FLAG_TX = 0x01
 _FLAG_DIGEST = 0x02
@@ -119,11 +125,6 @@ BROADCAST = None
 _BROADCAST_LO = _U32_MAX
 
 _ZERO_SIG = bytes(SIGNATURE_SIZE)
-
-# Frame segments around the two variable slots.
-_HEAD = struct.Struct("<BBII64s")   # header, sender lo, recipient lo, signature
-_MID = struct.Struct("<IQIQQ")      # tx type, block ref, timestamp, node id, view
-_TAIL = struct.Struct("<QQ")        # client request, seq
 
 
 def fault_tolerance(n: int) -> int:

@@ -1,15 +1,38 @@
-"""Tests for run observables and report serialization."""
+"""Tests for report building and serialization."""
 
 import pytest
 
-from pbftsim.metrics import (Metrics, finalize, parse_report, read_report,
+from pbftsim.metrics import (finalize, parse_report, read_report,
                              render_report, write_report)
+
+
+class StubReplica:
+    """The state ``finalize`` reads off a replica."""
+
+    def __init__(self):
+        self.ledger = []
+        self.view = 0
+        self.committed_txs = 0
+        self.retries = 0
+        self.duplicates = 0
+        self.view_adoptions = 0
+        self.blocks_by_minute = {}
+        self.txs_by_minute = {}
+
+    def commit(self, n_txs, now_us):
+        minute = now_us // 60_000_000
+        self.ledger.append(len(self.ledger) + 1)
+        self.committed_txs += n_txs
+        blocks, txs = self.blocks_by_minute, self.txs_by_minute
+        blocks[minute] = blocks.get(minute, 0) + 1
+        txs[minute] = txs.get(minute, 0) + n_txs
 
 
 class FakeEngine:
     def __init__(self, n, duration_s):
         self.n = n
         self.now_us = int(duration_s * 1_000_000)
+        self.replicas = [StubReplica() for _ in range(n)]
         self.crashed = [False] * n
         self.dropped = [0] * n
         self.busy_cpu_us = [0] * n
@@ -18,39 +41,52 @@ class FakeEngine:
 
 
 def small_report():
-    metrics = Metrics(3)
     engine = FakeEngine(3, 120)
-    metrics.record_commit(0, 1, 5, 30_000_000)
-    metrics.record_commit(0, 2, 5, 90_000_000)
-    metrics.record_commit(1, 1, 5, 31_000_000)
-    metrics.record_retry(2)
-    metrics.record_duplicate(1)
+    r0, r1, r2 = engine.replicas
+    r0.commit(5, 30_000_000)
+    r0.commit(5, 90_000_000)
+    r1.commit(5, 31_000_000)
+    r2.retries = 1
+    r1.duplicates = 1
+    r2.view_adoptions = 2
+    r2.view = 3
     engine.busy_cpu_us[0] = 30_000_000
     engine.busy_nic_us[0] = 6_000_000
     engine.dropped[2] = 4
     echo = {"nodes": 3, "seed": 42, "generation_period_s": 5.0}
-    return finalize(metrics, engine, 120, echo)
+    return finalize(engine, 120, echo)
 
 
 class TestCollector:
     def test_commits_bin_by_minute(self):
-        m = Metrics(2)
-        m.record_commit(0, 1, 3, 59_999_999)
-        m.record_commit(0, 2, 3, 60_000_000)
-        m.record_commit(0, 3, 3, 60_000_001)
-        assert m.minutes_series(0, 180) == [1, 2, 0]
+        engine = FakeEngine(2, 180)
+        observer = engine.replicas[0]
+        observer.commit(3, 59_999_999)
+        observer.commit(3, 60_000_000)
+        observer.commit(3, 60_000_001)
+        report = finalize(engine, 180, {})
+        assert report.minute_blocks == [1, 2, 0]
+        assert [txs for _, _, txs in report.minutes] == [3, 6, 0]
 
     def test_observer_skips_crashed_nodes(self):
-        m = Metrics(3)
-        assert m.observer([False, False, False]) == 0
-        assert m.observer([True, False, False]) == 1
-        assert m.observer([True, True, False]) == 2
+        for crashed, observer in (([False, False, False], 0),
+                                  ([True, False, False], 1),
+                                  ([True, True, False], 2),
+                                  ([True, True, True], 0)):
+            engine = FakeEngine(3, 60)
+            engine.crashed = crashed
+            for node, replica in enumerate(engine.replicas):
+                for _ in range(node + 1):
+                    replica.commit(1, 0)
+            report = finalize(engine, 60, {})
+            assert report.summary["observer"] == str(observer)
+            assert report.total_committed == observer + 1
+            assert report.minute_blocks == [observer + 1]
 
     def test_finalize_requires_finished_run(self):
-        metrics = Metrics(2)
         engine = FakeEngine(2, 30)
         with pytest.raises(RuntimeError):
-            finalize(metrics, engine, 60, {})
+            finalize(engine, 60, {})
 
 
 class TestReport:
@@ -59,20 +95,27 @@ class TestReport:
         assert report.total_committed == 2
         assert report.summary["committed_txs"] == "10"
         assert report.summary["retries_total"] == "1"
+        assert report.summary["duplicates_total"] == "1"
+        assert report.summary["drops_total"] == "4"
+        assert report.summary["view_changes"] == "0"
         assert report.minute_blocks == [1, 1]
 
     def test_per_node_rows(self):
         report = small_report()
         assert report.nodes[0]["load"] == pytest.approx(0.3)
         assert report.nodes[0]["blocks"] == 2
+        assert report.nodes[0]["txs"] == 10
+        assert report.nodes[1]["blocks"] == 1
         assert report.nodes[2]["drops"] == 4
         assert report.nodes[1]["duplicates"] == 1
+        assert report.nodes[2]["retries"] == 1
+        assert report.nodes[2]["view_changes"] == 2
+        assert report.nodes[2]["final_view"] == 3
 
     def test_load_capped_at_one(self):
-        metrics = Metrics(1)
         engine = FakeEngine(1, 60)
         engine.busy_cpu_us[0] = 100_000_000
-        report = finalize(metrics, engine, 60, {})
+        report = finalize(engine, 60, {})
         assert report.load(0) == 1.0
 
     def test_config_echo_serialized(self):

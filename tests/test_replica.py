@@ -7,7 +7,6 @@ covered in test_scenario.py.
 
 import pytest
 
-from pbftsim.metrics import Metrics
 from pbftsim.netsim import TimerKind
 from pbftsim.replica import EquivocatingReplica, Entry, Replica, ReplicaConfig
 from pbftsim.wire import Message, MsgKind, Transaction, block_digest
@@ -35,12 +34,11 @@ class FakeEngine:
         self.sent.clear()
 
 
-def make_replica(node=0, n=4, block=2, metrics=None, cls=Replica,
-                 inflight=None):
+def make_replica(node=0, n=4, block=2, cls=Replica, inflight=None):
     engine = FakeEngine(n)
     kwargs = {} if inflight is None else {"max_inflight": inflight}
     config = ReplicaConfig(n=n, block_size=block, **kwargs)
-    replica = cls(node, engine, config, metrics)
+    replica = cls(node, engine, config)
     replica.start()
     return replica, engine
 
@@ -105,11 +103,10 @@ class TestProposal:
         assert len(backup.mempool) == 1
 
     def test_duplicate_transaction_counted(self):
-        metrics = Metrics(4)
-        backup, _ = make_replica(node=2, metrics=metrics)
+        backup, _ = make_replica(node=2)
         backup.on_transaction(tx(2, 0), 0)
         backup.on_transaction(tx(2, 0), 1)
-        assert metrics.duplicates[2] == 1
+        assert backup.duplicates == 1
 
     def test_proposal_window_bounds_open_blocks(self):
         primary, engine = make_replica(node=0, n=4, block=1, inflight=4)
@@ -158,12 +155,11 @@ class TestContentGate:
         assert not backup.entries[1].content_ok
 
     def test_duplicate_relay_counted(self):
-        metrics = Metrics(7)
         _, head, relays = primary_announcement(n=7, block=2)
-        backup, _ = make_replica(node=1, n=7, block=2, metrics=metrics)
+        backup, _ = make_replica(node=1, n=7, block=2)
         backup.on_message(relays[0], 10)
         backup.on_message(relays[0], 11)
-        assert metrics.duplicates[1] == 1
+        assert backup.duplicates == 1
 
     def test_relay_position_outside_block_ignored(self):
         backup, _ = make_replica(node=1, n=4, block=2)
@@ -197,9 +193,8 @@ class TestQuorums:
         assert len(engine.of_kind(MsgKind.COMMIT)) == 1
 
     def test_commit_quorum_appends_to_ledger(self):
-        metrics = Metrics(4)
         _, head, relays = primary_announcement(n=4, block=2)
-        backup, engine = make_replica(node=1, n=4, block=2, metrics=metrics)
+        backup, engine = make_replica(node=1, n=4, block=2)
         backup.on_message(head, 0)
         for r in relays:
             backup.on_message(r, 0)
@@ -213,7 +208,8 @@ class TestQuorums:
             if sender == 2:
                 assert backup.ledger == []
         assert backup.ledger == [1]
-        assert metrics.blocks_total[1] == 1
+        assert len(backup.ledger) == 1
+        assert backup.committed_txs == 2
 
     def test_no_commit_without_own_commit_vote(self):
         # commits from everyone else do not finalize while content is
@@ -250,9 +246,8 @@ class TestQuorums:
         assert backup.ledger == [1]
 
     def test_duplicate_votes_counted_once(self):
-        metrics = Metrics(7)
         _, head, relays = primary_announcement(n=7, block=2)
-        backup, _ = make_replica(node=1, n=7, block=2, metrics=metrics)
+        backup, _ = make_replica(node=1, n=7, block=2)
         backup.on_message(head, 0)
         vote = Message(kind=MsgKind.PREPARE, sender=2, recipient=None,
                        view=0, seq=1, digest=head.digest,
@@ -260,11 +255,10 @@ class TestQuorums:
         backup.on_message(vote, 1)
         backup.on_message(vote, 2)
         assert backup.entries[1].prepares == {0, 2}
-        assert metrics.duplicates[1] == 1
+        assert backup.duplicates == 1
 
     def test_ledger_waits_for_gap(self):
-        metrics = Metrics(4)
-        backup, engine = make_replica(node=1, n=4, block=2, metrics=metrics)
+        backup, engine = make_replica(node=1, n=4, block=2)
         primary, e2 = make_replica(node=0, n=4, block=2)
         feed_block(primary, [tx(0, c) for c in range(4)])  # seqs 1 and 2
         heads = e2.of_kind(MsgKind.PRE_PREPARE)
@@ -290,7 +284,8 @@ class TestQuorums:
                               130_000_000)
         assert backup.ledger == [1, 2]
         # both appended in the minute the gap closed
-        assert metrics.blocks_by_minute[1] == {2: 2}
+        assert backup.blocks_by_minute == {2: 2}
+        assert backup.txs_by_minute == {2: 4}
 
     def test_wrong_sender_announcement_rejected(self):
         backup, engine = make_replica(node=1, n=4, block=2)
@@ -400,13 +395,12 @@ class TestRetry:
         assert engine.sent == []
 
     def test_requests_counted(self):
-        metrics = Metrics(4)
         _, head, _ = primary_announcement(n=4, block=2)
-        backup, _ = make_replica(node=1, n=4, block=2, metrics=metrics)
+        backup, _ = make_replica(node=1, n=4, block=2)
         backup.on_message(head, 0)
         backup.on_timer(TimerKind.RETRY, 10_000_000)
         backup.on_timer(TimerKind.RETRY, 20_000_000)
-        assert metrics.retries[1] == 2
+        assert backup.retries == 2
 
 
 # --------------------------------------------------------- view change
@@ -567,13 +561,12 @@ class TestViewChange:
         assert not primary.entries[1].active
 
     def test_adoption_recorded(self):
-        metrics = Metrics(4)
-        backup, _ = make_replica(node=3, n=4, metrics=metrics)
+        backup, _ = make_replica(node=3, n=4)
         nv = Message(kind=MsgKind.NEW_VIEW, sender=1, recipient=None,
                      view=1, seq=0, digest=bytes(32))
         backup.on_message(nv, 1)
-        assert metrics.view_adoptions[3] == 1
-        assert metrics.final_view[3] == 1
+        assert backup.view_adoptions == 1
+        assert backup.view == 1
 
 
 # -------------------------------------------------------- equivocation

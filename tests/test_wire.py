@@ -112,6 +112,7 @@ def test_quorum_invariants(n):
 def test_fixed_field_block_is_120_bytes():
     assert dict(FIXED_FIELDS) == EXPECTED_WIDTHS
     assert FIXED_FIELDS_SIZE == sum(EXPECTED_WIDTHS.values()) == 120
+    assert sum(w for _, w in FIXED_FIELDS) == FIXED_FIELDS_SIZE
 
 
 def test_protocol_message_body_is_152_bytes():
