@@ -4,9 +4,9 @@ Three subcommands: ``run`` executes one scenario config file and
 writes its report, ``sweep`` executes a packaged preset or a sweep
 file and writes the combined CSV, ``load-study`` measures node
 utilisation against network size.  All commands accept ``--seed`` to
-override the (master) seed, ``--out`` to write results to a file
-instead of stdout, and ``--trace`` to record the deterministic event
-trace hash.
+override the (master) seed and ``--out`` to write results to a file
+instead of stdout; ``run`` and ``sweep`` also take ``--trace`` to
+record the deterministic event trace hash.
 """
 
 from __future__ import annotations
@@ -83,9 +83,10 @@ def _cmd_load_study(args) -> int:
         base = replace(base, device_profile=args.profile)
     if args.period is not None:
         base = replace(base, generation_period_s=args.period)
-    seed = args.seed if args.seed is not None else base.seed
-    study = run_load_study(base, nodes=nodes, master_seed=seed)
-    echo = {"profile": base.device_profile, "seed": seed,
+    if args.seed is not None:
+        base = replace(base, seed=args.seed)
+    study = run_load_study(base, nodes=nodes)
+    echo = {"profile": base.device_profile, "seed": base.seed,
             "block_size": base.block_size,
             "generation_period_s": f"{base.generation_period_s:g}"}
     _write(render_load_study(study, echo), args.out)
@@ -132,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "preset's values when it sweeps nodes)")
     p_load.add_argument("--seed", type=int, help="override the master seed")
     p_load.add_argument("--out", help="write the study here")
-    p_load.add_argument("--trace", action="store_true",
-                        help=argparse.SUPPRESS)
     p_load.set_defaults(func=_cmd_load_study)
     return parser
 

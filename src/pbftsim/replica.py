@@ -10,6 +10,12 @@ Backups vote in the prepare round only once they hold the complete,
 digest-verified content, which guarantees that any prepared entry can
 be refetched from at least one live node.
 
+Each slot moves along one chain: pre-prepared with verified content,
+prepared, committed.  ``Replica._advance`` is the one place a slot
+moves through these rounds; every handler that changes a slot's votes
+or content ends by calling it.  Only live slots (``open_seqs``) of the
+current view vote.
+
 Vote counting is self-inclusive: a node's own announcement or vote
 counts towards its quorum (2f for prepare, 2f + 1 for commit, with
 f = (n - 1) // 3), so a network of 4 survives one crashed peer.
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import attrgetter
 
 from .netsim import US_PER_S, Engine, TimerKind
 from .wire import (
@@ -57,6 +64,12 @@ _ZERO_DIGEST = bytes(32)
 # node has an outstanding view-change vote.
 _VIEW_BOUND = frozenset({MsgKind.PRE_PREPARE, MsgKind.PREPARE,
                          MsgKind.COMMIT, MsgKind.RETRY_REQUEST})
+_COMMIT = MsgKind.COMMIT  # enum member lookups are slow; every vote tests it
+
+# Sequence window: how many announced-but-uncommitted slots the
+# primary may have open.  Wide enough that only runaway overload ever
+# reaches it.
+MAX_INFLIGHT = 256
 
 
 @dataclass(frozen=True)
@@ -65,10 +78,6 @@ class ReplicaConfig:
     block_size: int
     retry_period_us: int = 10_000_000
     view_timeout_us: int = 30_000_000
-    # Sequence window: how many announced-but-uncommitted slots the
-    # primary may have open.  Wide enough that only runaway overload
-    # ever reaches it.
-    max_inflight: int = 256
 
     def __post_init__(self):
         if self.n < 1:
@@ -77,8 +86,6 @@ class ReplicaConfig:
             raise ValueError("block size must be >= 1")
         if self.retry_period_us <= 0 or self.view_timeout_us <= 0:
             raise ValueError("timer periods must be positive")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
 
 
 @dataclass(slots=True)
@@ -98,7 +105,6 @@ class Entry:
     commits: set = field(default_factory=set)
     sent_commit: bool = False
     committed: bool = False
-    active: bool = True
 
     def rebind(self, view: int, digest: bytes, block_ref: int) -> None:
         """Bind the slot to a block in a newer view: votes restart, and
@@ -114,7 +120,6 @@ class Entry:
         self.prepares = set()
         self.commits = set()
         self.sent_commit = False
-        self.active = True
 
 
 class Replica:
@@ -124,13 +129,14 @@ class Replica:
         self.config = config
         n = config.n
         self.f = fault_tolerance(n)
-        self.prepare_q = prepare_quorum(n)
+        # At least our own vote, also where f = 0.
+        self.prepare_q = max(prepare_quorum(n), 1)
         self.commit_q = commit_quorum(n)
 
         self.view = 0
         self.next_seq = 1
         self.entries: dict[int, Entry] = {}
-        self.open_seqs: set = set()  # active and not yet committed
+        self.open_seqs: set = set()  # live, uncommitted: the slots that vote
         self.mempool: dict[tuple, Transaction] = {}
         self.committed_ids: set = set()
         self.frozen_seqs: set = set()
@@ -161,8 +167,8 @@ class Replica:
             MsgKind.TX_BROADCAST: self._on_tx,
             MsgKind.CLIENT_REQUEST: self._on_relay,
             MsgKind.PRE_PREPARE: self._on_pre_prepare,
-            MsgKind.PREPARE: self._on_prepare,
-            MsgKind.COMMIT: self._on_commit,
+            MsgKind.PREPARE: self._on_vote,
+            MsgKind.COMMIT: self._on_vote,
             MsgKind.RETRY_REQUEST: self._on_retry_request,
             MsgKind.VIEW_CHANGE: self._on_view_change,
             MsgKind.NEW_VIEW: self._on_new_view,
@@ -182,9 +188,6 @@ class Replica:
     def is_primary(self) -> bool:
         return self.primary_of(self.view) == self.node
 
-    def _ms(self, now_us: int) -> int:
-        return now_us // 1000
-
     def _emit(self, msg: Message) -> None:
         if msg.recipient is None:
             self.engine.broadcast(self.node, msg)
@@ -193,6 +196,24 @@ class Replica:
 
     def _pending_work(self) -> bool:
         return bool(self.mempool) or bool(self.open_seqs)
+
+    def _send(self, kind: MsgKind, view: int, seq: int, digest: bytes,
+              block_ref: int, now_us: int, dst: int | None = None,
+              client_request: int = 0) -> None:
+        """Build and emit one digest-carrying message, stamped in ms."""
+        self._emit(Message(kind=kind, sender=self.node, recipient=dst,
+                           view=view, seq=seq, digest=digest,
+                           block_ref=block_ref, timestamp=now_us // 1000,
+                           client_request=client_request))
+
+    def _open_entry(self, seq: int, view: int, digest: bytes | None,
+                    block_ref: int, now_us: int, **state) -> Entry:
+        """Register a new live slot."""
+        entry = Entry(seq=seq, view=view, digest=digest, block_ref=block_ref,
+                      created_us=now_us, **state)
+        self.entries[seq] = entry
+        self.open_seqs.add(seq)
+        return entry
 
     # --------------------------------------------------------- callbacks
 
@@ -247,7 +268,7 @@ class Replica:
     def _try_propose(self, now_us: int) -> None:
         cfg = self.config
         while (self.is_primary and not self.frozen_seqs
-               and len(self.open_seqs) < cfg.max_inflight
+               and len(self.open_seqs) < MAX_INFLIGHT
                and len(self.mempool) >= cfg.block_size):
             picked = list(islice(self.mempool.items(), cfg.block_size))
             for tid, _ in picked:
@@ -264,29 +285,17 @@ class Replica:
             tx_ids = [tx.tx_id for tx in txs]
             digest = block_digest(seq, tx_ids)
             ref = block_ref_from_digest(digest)
-            entry = Entry(seq=seq, view=self.view, digest=digest,
-                          block_ref=ref, created_us=now_us,
-                          content=dict(enumerate(txs)), tx_ids=tx_ids,
-                          pre_prepared=True, content_ok=True,
-                          prepares={self.node})
-            self.entries[seq] = entry
-            self.open_seqs.add(seq)
-            self._announce(entry, now_us, with_content=True)
+            entry = self._open_entry(
+                seq, self.view, digest, ref, now_us,
+                content=dict(enumerate(txs)), tx_ids=tx_ids,
+                pre_prepared=True, content_ok=True, prepares={self.node})
+            self._announce(entry, now_us)
             self._arm_vc(now_us)
 
-    def _announce(self, entry: Entry, now_us: int,
-                  with_content: bool) -> None:
-        self._send_pre_prepare(self.view, entry.seq, entry.digest,
-                               entry.block_ref, now_us)
-        if with_content:
-            self._send_content(entry, None, range(len(entry.tx_ids)))
-
-    def _send_pre_prepare(self, view: int, seq: int, digest: bytes,
-                          block_ref: int, now_us: int,
-                          dst: int | None = None) -> None:
-        self._emit(Message(kind=MsgKind.PRE_PREPARE, sender=self.node,
-                           recipient=dst, view=view, seq=seq, digest=digest,
-                           block_ref=block_ref, timestamp=self._ms(now_us)))
+    def _announce(self, entry: Entry, now_us: int) -> None:
+        self._send(MsgKind.PRE_PREPARE, self.view, entry.seq, entry.digest,
+                   entry.block_ref, now_us)
+        self._send_content(entry, None, range(len(entry.tx_ids)))
 
     def _send_content(self, entry: Entry, dst: int | None,
                       positions) -> None:
@@ -307,16 +316,14 @@ class Replica:
             return
         entry = self.entries.get(msg.seq)
         if entry is None:
-            entry = Entry(seq=msg.seq, view=msg.view, digest=None,
-                          block_ref=msg.block_ref, created_us=now_us)
-            self.entries[msg.seq] = entry
-            self.open_seqs.add(msg.seq)
+            entry = self._open_entry(msg.seq, msg.view, None, msg.block_ref,
+                                     now_us)
         if entry.content_ok or pos in entry.content:
             self.duplicates += 1
             return
         entry.content[pos] = msg.tx
         self._refresh_content(entry)
-        self._maybe_prepare(entry, now_us)
+        self._advance(entry, now_us)
 
     def _refresh_content(self, entry: Entry) -> None:
         b = self.config.block_size
@@ -338,18 +345,15 @@ class Replica:
         Returns None when the message is stale or conflicting."""
         entry = self.entries.get(msg.seq)
         if entry is None:
-            entry = Entry(seq=msg.seq, view=msg.view, digest=msg.digest,
-                          block_ref=msg.block_ref, created_us=now_us)
-            self.entries[msg.seq] = entry
-            self.open_seqs.add(msg.seq)
-            return entry
+            return self._open_entry(msg.seq, msg.view, msg.digest,
+                                    msg.block_ref, now_us)
         if entry.committed:
             return entry if entry.digest == msg.digest else None
         if entry.digest is None:
+            # Only relays so far: not pre-prepared, nothing to verify.
             entry.digest = msg.digest
             entry.block_ref = msg.block_ref
             entry.view = msg.view
-            self._refresh_content(entry)
             return entry
         if msg.view > entry.view:
             # A newer view rebinds the slot, to the same block or to a
@@ -374,34 +378,20 @@ class Replica:
             # re-running the vote.
             if msg.view > entry.view:
                 entry.view = msg.view
-            self._send_vote(MsgKind.COMMIT, entry, now_us)
+            self._send(MsgKind.COMMIT, entry.view, entry.seq, entry.digest,
+                       entry.block_ref, now_us)
             return
         entry.pre_prepared = True
         if msg.sender in entry.prepares:
             self.duplicates += 1
         entry.prepares.add(msg.sender)
         self._refresh_content(entry)
-        self._maybe_prepare(entry, now_us)
+        self._advance(entry, now_us)
         if msg.seq >= self.next_seq:
             self.next_seq = msg.seq + 1
         self._arm_vc(now_us)
 
-    def _maybe_prepare(self, entry: Entry, now_us: int) -> None:
-        if (entry.active and entry.view == self.view and entry.pre_prepared
-                and entry.content_ok and not entry.committed
-                and self.node not in entry.prepares):
-            entry.prepares.add(self.node)
-            self._send_vote(MsgKind.PREPARE, entry, now_us)
-        self._check_prepared(entry, now_us)
-
-    def _send_vote(self, kind: MsgKind, entry: Entry, now_us: int,
-                   dst: int | None = None) -> None:
-        self._emit(Message(kind=kind, sender=self.node, recipient=dst,
-                           view=entry.view, seq=entry.seq, digest=entry.digest,
-                           block_ref=entry.block_ref,
-                           timestamp=self._ms(now_us)))
-
-    def _on_prepare(self, msg: Message, now_us: int) -> None:
+    def _on_vote(self, msg: Message, now_us: int) -> None:
         if msg.view < self.view:
             return
         # A vote that arrives after its block committed changes
@@ -412,46 +402,36 @@ class Replica:
         entry = self._get_or_create(msg, now_us)
         if entry is None or msg.view < entry.view:
             return
-        if msg.sender in entry.prepares:
+        votes = entry.commits if msg.kind == _COMMIT else entry.prepares
+        if msg.sender in votes:
             self.duplicates += 1
             return
-        entry.prepares.add(msg.sender)
-        self._maybe_prepare(entry, now_us)
-
-    def _check_prepared(self, entry: Entry, now_us: int) -> None:
-        if (entry.active and entry.view == self.view
-                and not entry.sent_commit and entry.content_ok
-                and self.node in entry.prepares
-                and len(entry.prepares) >= max(self.prepare_q, 1)):
-            entry.sent_commit = True
-            entry.commits.add(self.node)
-            self._send_vote(MsgKind.COMMIT, entry, now_us)
-            self._check_committed(entry, now_us)
-
-    def _on_commit(self, msg: Message, now_us: int) -> None:
-        if msg.view < self.view:
-            return
-        # A vote that arrives after its block committed changes
-        # nothing; drop it before the lookup-or-create.
-        entry = self.entries.get(msg.seq)
-        if entry is not None and entry.committed:
-            return
-        entry = self._get_or_create(msg, now_us)
-        if entry is None or msg.view < entry.view:
-            return
-        if msg.sender in entry.commits:
-            self.duplicates += 1
-            return
-        entry.commits.add(msg.sender)
+        votes.add(msg.sender)
         # A commit vote implies the sender prepared; count it there
         # too so a round of mostly already-committed peers can still
         # reach the prepare quorum.
         entry.prepares.add(msg.sender)
-        self._maybe_prepare(entry, now_us)
-        self._check_committed(entry, now_us)
+        self._advance(entry, now_us)
 
-    def _check_committed(self, entry: Entry, now_us: int) -> None:
-        if (not entry.committed and entry.sent_commit
+    def _advance(self, entry: Entry, now_us: int) -> None:
+        """Move the slot as far as its votes allow: our PREPARE once it
+        is pre-prepared with verified content, our COMMIT at the prepare
+        quorum, the commit at the commit quorum.  Only live slots of the
+        current view vote."""
+        if (entry.view == self.view and entry.content_ok
+                and entry.seq in self.open_seqs):
+            me = self.node
+            if entry.pre_prepared and me not in entry.prepares:
+                entry.prepares.add(me)
+                self._send(MsgKind.PREPARE, entry.view, entry.seq,
+                           entry.digest, entry.block_ref, now_us)
+            if (not entry.sent_commit and me in entry.prepares
+                    and len(entry.prepares) >= self.prepare_q):
+                entry.sent_commit = True
+                entry.commits.add(me)
+                self._send(MsgKind.COMMIT, entry.view, entry.seq,
+                           entry.digest, entry.block_ref, now_us)
+        if (entry.sent_commit and not entry.committed
                 and len(entry.commits) >= self.commit_q):
             self._commit(entry, now_us)
 
@@ -493,26 +473,19 @@ class Replica:
     def _on_retry_timer(self, now_us: int) -> None:
         self.engine.schedule_timer(self.node, TimerKind.RETRY,
                                    now_us + self.config.retry_period_us)
-        target = None
-        for seq in self.open_seqs:
-            entry = self.entries[seq]
-            if now_us - entry.created_us < self.config.retry_period_us:
-                continue
-            if target is None or entry.created_us < target.created_us \
-                    or (entry.created_us == target.created_us
-                        and entry.seq < target.seq):
-                target = entry
-        if target is None:
+        # Retry the oldest live slot, once it is a whole period old.
+        target = min(map(self.entries.__getitem__, self.open_seqs),
+                     key=attrgetter("created_us", "seq"), default=None)
+        if (target is None
+                or now_us - target.created_us < self.config.retry_period_us):
             return
         held = 0
         for pos in target.content:
             if pos < 64:
                 held |= 1 << pos
-        self._emit(Message(kind=MsgKind.RETRY_REQUEST, sender=self.node,
-                           recipient=None, view=self.view, seq=target.seq,
-                           digest=target.digest or _ZERO_DIGEST,
-                           block_ref=target.block_ref,
-                           timestamp=self._ms(now_us), client_request=held))
+        self._send(MsgKind.RETRY_REQUEST, self.view, target.seq,
+                   target.digest or _ZERO_DIGEST, target.block_ref, now_us,
+                   client_request=held)
         self.retries += 1
 
     def _on_retry_request(self, msg: Message, now_us: int) -> None:
@@ -526,13 +499,15 @@ class Replica:
         # itself; without it the requester can neither verify content
         # nor vote, so a lost one must be recoverable here.
         if entry.pre_prepared and self.primary_of(entry.view) == self.node:
-            self._send_pre_prepare(entry.view, entry.seq, entry.digest,
-                                   entry.block_ref, now_us, dst=requester)
+            self._send(MsgKind.PRE_PREPARE, entry.view, entry.seq,
+                       entry.digest, entry.block_ref, now_us, requester)
         # Strongest vote we can restate for this entry.
         if entry.sent_commit or entry.committed:
-            self._send_vote(MsgKind.COMMIT, entry, now_us, dst=requester)
+            self._send(MsgKind.COMMIT, entry.view, entry.seq, entry.digest,
+                       entry.block_ref, now_us, requester)
         elif self.node in entry.prepares:
-            self._send_vote(MsgKind.PREPARE, entry, now_us, dst=requester)
+            self._send(MsgKind.PREPARE, entry.view, entry.seq, entry.digest,
+                       entry.block_ref, now_us, requester)
         if entry.content_ok:
             held = msg.client_request
             missing = [pos for pos in range(len(entry.tx_ids))
@@ -590,14 +565,11 @@ class Replica:
         for entry in self.entries.values():
             if (not entry.committed and entry.digest is not None
                     and self.node in entry.prepares
-                    and len(entry.prepares) >= max(self.prepare_q, 1)):
+                    and len(entry.prepares) >= self.prepare_q):
                 reports.add((entry.seq, entry.digest, entry.block_ref))
         # A baseline vote, then one per prepared entry.
         for seq, digest, ref in [(0, _ZERO_DIGEST, 0), *sorted(reports)]:
-            self._emit(Message(kind=MsgKind.VIEW_CHANGE, sender=self.node,
-                               recipient=None, view=target, seq=seq,
-                               digest=digest, block_ref=ref,
-                               timestamp=self._ms(now_us)))
+            self._send(MsgKind.VIEW_CHANGE, target, seq, digest, ref, now_us)
         self._record_vc_votes(self.node, target, reports, now_us)
 
     def _record_vc_votes(self, voter: int, target: int, reports,
@@ -638,16 +610,12 @@ class Replica:
                 if current is None or digest < current[0]:
                     reports[seq] = (digest, ref)
         self._adopt_view(target, now_us)
-        self._emit(Message(kind=MsgKind.NEW_VIEW, sender=self.node,
-                           recipient=None, view=target, seq=0,
-                           digest=_ZERO_DIGEST, timestamp=self._ms(now_us)))
+        self._send(MsgKind.NEW_VIEW, target, 0, _ZERO_DIGEST, 0, now_us)
         for seq in sorted(reports):
             digest, ref = reports[seq]
             entry = self.entries.get(seq)
             if entry is None:
-                entry = Entry(seq=seq, view=target, digest=digest,
-                              block_ref=ref, created_us=now_us)
-                self.entries[seq] = entry
+                entry = self._open_entry(seq, target, digest, ref, now_us)
             # Committed entries are re-announced too: peers that hold
             # them answer with a commit vouch, which helps laggards.
             if not entry.committed:
@@ -657,11 +625,11 @@ class Replica:
                 self.open_seqs.add(seq)
                 self.frozen_seqs.add(seq)
                 self._refresh_content(entry)
-            self._send_pre_prepare(target, seq, entry.digest,
-                                   entry.block_ref, now_us)
+            self._send(MsgKind.PRE_PREPARE, target, seq, entry.digest,
+                       entry.block_ref, now_us)
             if entry.content_ok and not entry.committed:
                 self._send_content(entry, None, range(len(entry.tx_ids)))
-                self._maybe_prepare(entry, now_us)
+                self._advance(entry, now_us)
         # Proposal horizon restarts just past everything that was
         # preserved; abandoned slots below it become holes we must
         # refill so the ledger can keep draining in order.
@@ -695,11 +663,10 @@ class Replica:
             entry = self.entries[seq]
             if entry.view >= view:
                 continue
-            # The old round died with its view; the entry sleeps until
-            # a re-announcement revives it.  Transactions we generated
+            # The old round died with its view; the slot sleeps until
+            # a re-announcement reopens it.  Transactions we generated
             # ourselves go back to the mempool so they are not lost if
             # it never is.
-            entry.active = False
             self.open_seqs.discard(seq)
             for tx in entry.content.values():
                 tid = tx.tx_id
@@ -714,12 +681,11 @@ class EquivocatingReplica(Replica):
     tests; honest quorum intersection must keep ledgers consistent.
     """
 
-    def _announce(self, entry: Entry, now_us: int,
-                  with_content: bool) -> None:
+    def _announce(self, entry: Entry, now_us: int) -> None:
         peers = [i for i in range(self.config.n) if i != self.node]
         alt_ids = list(reversed(entry.tx_ids))
-        if alt_ids == entry.tx_ids or not with_content:
-            super()._announce(entry, now_us, with_content)
+        if alt_ids == entry.tx_ids:
+            super()._announce(entry, now_us)
             return
         alt_digest = block_digest(entry.seq, alt_ids)
         alt_ref = block_ref_from_digest(alt_digest)
@@ -727,12 +693,12 @@ class EquivocatingReplica(Replica):
                                  for p in range(len(alt_ids))]))
         half = len(peers) // 2
         for dst in peers[:half]:
-            self._send_pre_prepare(self.view, entry.seq, entry.digest,
-                                   entry.block_ref, now_us, dst=dst)
+            self._send(MsgKind.PRE_PREPARE, self.view, entry.seq,
+                       entry.digest, entry.block_ref, now_us, dst)
             self._send_content(entry, dst, range(len(entry.tx_ids)))
         for dst in peers[half:]:
-            self._send_pre_prepare(self.view, entry.seq, alt_digest, alt_ref,
-                                   now_us, dst=dst)
+            self._send(MsgKind.PRE_PREPARE, self.view, entry.seq, alt_digest,
+                       alt_ref, now_us, dst)
             for pos, tx in enumerate(alt_txs):
                 self._emit(Message(kind=MsgKind.CLIENT_REQUEST,
                                    sender=self.node, recipient=dst,

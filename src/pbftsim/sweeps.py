@@ -68,10 +68,6 @@ class SweepSpec:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
-    @property
-    def master_seed(self) -> int:
-        return self.base.seed
-
 
 def derive_seed(master: int, idx: int, rep: int) -> int:
     """Stable per-run seed from the master seed and run coordinates."""
@@ -187,7 +183,7 @@ def run_sweep(spec: SweepSpec, trace: bool = False) -> SweepResult:
     result = SweepResult(spec)
     for idx, value, value2 in _sweep_points(spec):
         for rep in range(spec.repetitions):
-            seed = derive_seed(spec.master_seed, idx, rep)
+            seed = derive_seed(spec.base.seed, idx, rep)
             overrides = {spec.axis: value, "seed": seed}
             if spec.axis2 is not None:
                 overrides[spec.axis2] = value2
@@ -268,19 +264,16 @@ class LoadStudy:
         raise KeyError(nodes)
 
 
-def run_load_study(base: ScenarioConfig, nodes: tuple,
-                   master_seed: int | None = None) -> LoadStudy:
+def run_load_study(base: ScenarioConfig, nodes: tuple) -> LoadStudy:
     """Run the base scenario across network sizes and fit the busiest
     node's utilisation against size.
 
     The sizes are a one-axis sweep on ``nodes``, one repetition each,
-    seeded from ``master_seed`` (the base seed by default).  The fit
+    seeded from the base seed as the sweep's master seed.  The fit
     is linear over the pre-saturation points and extrapolated to the
     size where utilisation reaches 1.0.  If utilisation does not grow
     monotonically with size, no extrapolation is reported.
     """
-    if master_seed is not None:
-        base = replace(base, seed=master_seed)
     spec = SweepSpec(name="load-study", base=base, axis="nodes",
                      values=tuple(nodes))
     points = [LoadPoint(nodes=run.axis_value,

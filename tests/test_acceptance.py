@@ -35,6 +35,11 @@ def ledger_digests(replica):
     return [replica.entries[height].digest for height in replica.ledger]
 
 
+def ledger_tx_ids(replica):
+    return [tid for height in replica.ledger
+            for tid in replica.entries[height].tx_ids]
+
+
 # ---------------------------------------------------------------- agreement
 
 # (network size, seeded runs) — 100 runs total.
@@ -65,11 +70,14 @@ def test_no_ledger_divergence_across_crash_battery():
             result = run_scenario(config)
             alive = [r for r in result.replicas
                      if not result.engine.crashed[r.node]]
-            # all alive ledgers must be prefixes of one chain
+            # all alive ledgers must be prefixes of one chain, and
+            # none commits a transaction twice
             ref = ledger_digests(max(alive, key=lambda r: len(r.ledger)))
             for replica in alive:
                 mine = ledger_digests(replica)
                 assert mine == ref[:len(mine)], (n, rep, replica.node)
+                ids = ledger_tx_ids(replica)
+                assert len(ids) == len(set(ids)), (n, rep, replica.node)
             # every local commit carries a full commit quorum
             for replica in result.replicas:
                 for entry in replica.entries.values():
@@ -159,6 +167,41 @@ def crossover_mean(n, block):
             seed=derive_seed(99, block, rep))
         totals.append(run_scenario(config).report.total_committed)
     return float(np.mean(totals))
+
+
+def crossover_run(seed):
+    """One 25-node block-5 run of the crossover grid; its live replicas."""
+    config = ScenarioConfig(
+        nodes=25, block_size=5, generation_period_s=5.0,
+        device_profile="mcu8", duration_s=1800, jitter=0.1, seed=seed)
+    result = run_scenario(config)
+    return [r for r in result.replicas if not result.engine.crashed[r.node]]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: fork after a view change. Live ledgers of 57-254 blocks are "
+    "not prefixes of one chain, and some commit a tx twice. Likely cause: "
+    "_vote_view_change reports only uncommitted entries, so _lead_view "
+    "refills a height that peers committed with a different block."))
+def test_no_fork_after_view_changes():
+    alive = crossover_run(3)
+    ref = ledger_digests(max(alive, key=lambda r: len(r.ledger)))
+    for replica in alive:
+        mine = ledger_digests(replica)
+        assert mine == ref[:len(mine)], replica.node
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: ledger stops for good. Live ledgers end at 25 to 189 blocks. "
+    "Likely cause: _adopt_view drops older-view entries from open_seqs, "
+    "and _on_retry_timer scans only open_seqs, so a height that peers "
+    "committed is never requested again."))
+def test_no_ledger_stalls_behind_its_peers():
+    alive = crossover_run(derive_seed(99, 5, 0))
+    longest = max(len(r.ledger) for r in alive)
+    for replica in alive:
+        assert 2 * len(replica.ledger) >= longest, (replica.node,
+                                                    len(replica.ledger))
 
 
 def test_large_networks_prefer_larger_blocks():

@@ -5,7 +5,9 @@ and the SHA-256 of the rendered report.  A change that keeps every
 event and every report line passes unchanged; a change that moves
 either must re-pin these digests and say why.  The cells cover a
 crash with jitter, the implant radio, an overflowing-buffer retry
-storm and an equivocator, across all three delay laws.
+storm, an equivocator and a crash of the view-0 primary (five view
+changes, so its successors' re-proposals are pinned), across all
+three delay laws.
 """
 
 import hashlib
@@ -46,6 +48,14 @@ CELLS = {
                        equivocators=(0,), seed=9),
         "01fd8fe565eba8a091403968283bce520dc040699a163eed9d93096eef364109",
         "1d8ad6108792bce622a7b922b44ba9525e0f7fbb9104f3971f03d972bcdcbe8f",
+    ),
+    "primary-crash-exponential": (
+        ScenarioConfig(nodes=7, block_size=5, generation_period_s=1.0,
+                       device_profile="mcu32", latency_dist="exponential",
+                       latency_mean_s=0.02, duration_s=240,
+                       crashes=((0, 40.0),), seed=1),
+        "2078b1539d653ca21c84ae99b5597f8e95a99a22d2e4c4cfbe9dc0c7bc73a131",
+        "1852248db6a9e43a9d322357c971e158ba4249e5c05c106092cf8034f07c00b7",
     ),
 }
 

@@ -8,7 +8,8 @@ covered in test_scenario.py.
 import pytest
 
 from pbftsim.netsim import TimerKind
-from pbftsim.replica import EquivocatingReplica, Entry, Replica, ReplicaConfig
+from pbftsim.replica import (MAX_INFLIGHT, EquivocatingReplica, Entry,
+                             Replica, ReplicaConfig)
 from pbftsim.wire import Message, MsgKind, Transaction, block_digest
 
 
@@ -34,10 +35,9 @@ class FakeEngine:
         self.sent.clear()
 
 
-def make_replica(node=0, n=4, block=2, cls=Replica, inflight=None):
+def make_replica(node=0, n=4, block=2, cls=Replica):
     engine = FakeEngine(n)
-    kwargs = {} if inflight is None else {"max_inflight": inflight}
-    config = ReplicaConfig(n=n, block_size=block, **kwargs)
+    config = ReplicaConfig(n=n, block_size=block)
     replica = cls(node, engine, config)
     replica.start()
     return replica, engine
@@ -109,10 +109,10 @@ class TestProposal:
         assert backup.duplicates == 1
 
     def test_proposal_window_bounds_open_blocks(self):
-        primary, engine = make_replica(node=0, n=4, block=1, inflight=4)
-        feed_block(primary, [tx(0, c) for c in range(10)])
-        assert len(engine.of_kind(MsgKind.PRE_PREPARE)) == 4  # window
-        assert len(primary.mempool) == 6
+        primary, engine = make_replica(node=0, n=4, block=1)
+        feed_block(primary, [tx(0, c) for c in range(MAX_INFLIGHT + 4)])
+        assert len(engine.of_kind(MsgKind.PRE_PREPARE)) == MAX_INFLIGHT
+        assert len(primary.mempool) == 4
 
 
 # ------------------------------------------------------- content gate
@@ -558,7 +558,7 @@ class TestViewChange:
         assert primary.mempool == {}
         primary._adopt_view(1, 1_000_000)  # demoted before commit
         assert set(primary.mempool) == {(0, 0), (0, 1)}
-        assert not primary.entries[1].active
+        assert 1 not in primary.open_seqs  # the slot no longer votes
 
     def test_adoption_recorded(self):
         backup, _ = make_replica(node=3, n=4)
