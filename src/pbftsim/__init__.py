@@ -26,8 +26,8 @@ from .wire import (
     decode,
 )
 from .netsim import PROFILES, DeviceProfile, Engine, LatencyModel
-from .replica import Replica, ReplicaConfig
-from .metrics import MetricsReport, read_report, render_report, write_report
+from .replica import Replica
+from .metrics import MetricsReport, parse_report, render_report
 from .scenario import ScenarioConfig, parse_config, run_scenario
 from .sweeps import (
     PRESETS,

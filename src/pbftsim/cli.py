@@ -72,7 +72,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_load_study(args) -> int:
     spec = _resolve_sweep(args.preset)
     if args.nodes is not None:
-        nodes = tuple(int(v) for v in args.nodes.split(","))
+        try:
+            nodes = tuple(int(v) for v in args.nodes.split(","))
+        except ValueError:
+            raise ValueError(f"--nodes: bad value {args.nodes!r}") from None
     elif spec.axis == "nodes":
         nodes = spec.values
     else:

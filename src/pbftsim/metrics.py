@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-__all__ = ["MetricsReport", "write_report", "read_report", "render_report"]
+__all__ = ["MetricsReport", "render_report", "parse_report"]
 
 REPORT_VERSION = "consensus-sim-report/1"
 
@@ -133,17 +133,6 @@ def render_report(report: MetricsReport) -> str:
             cells.append(_fmt(value))
         out.write(",".join(cells) + "\n")
     return out.getvalue()
-
-
-def write_report(report: MetricsReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_report(report))
-
-
-def read_report(path) -> MetricsReport:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_report(text)
 
 
 def parse_report(text: str) -> MetricsReport:

@@ -22,12 +22,12 @@ destination is crashed).
 Hot path.  A message's frame size is fixed when the ``Message`` is
 built (``Message.size``), so a delivered copy never recomputes it;
 serialisation times are cached per frame size.  ``Engine.run`` serves
-arrivals and service completions inline.  Profilers and the
-benchmark wrap calls at class or module level, so these stay one
-call each, made through attribute lookup: ``Engine.run``, and
-``Engine.send`` per copy (``Engine.broadcast`` per broadcast);
-``on_message``, ``on_timer`` and ``on_transaction`` on the replica
-per callback; ``next_tx`` per transaction and
+arrivals and service completions inline, buffer bytes included.
+Profilers and the benchmark wrap calls at class or module level, so
+these stay one call each, made through attribute lookup:
+``Engine.run``, and ``Engine.send`` per copy (``Engine.broadcast`` per
+broadcast); ``on_message``, ``on_timer`` and ``on_transaction`` on the
+replica per callback; ``next_tx`` per transaction and
 ``LatencyModel.sample_us`` per delay draw.  The pending queue
 ``Engine._heap`` stays a heap of ``(at_us, seqno, tag, node,
 payload)`` tuples with ``_EV_ARRIVAL`` marking frames in flight.
@@ -50,7 +50,6 @@ __all__ = [
     "DeviceProfile",
     "PROFILES",
     "LatencyModel",
-    "IngressBuffer",
     "TimerKind",
     "Engine",
 ]
@@ -157,31 +156,6 @@ class LatencyModel:
         return int(round(self.sample_s(rng) * US_PER_S))
 
 
-# ----------------------------------------------------------------- buffers
-
-class IngressBuffer:
-    """Byte-counted tail-drop buffer in front of a node's processor."""
-
-    __slots__ = ("capacity", "used")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("buffer capacity must be >= 1 byte")
-        self.capacity = capacity
-        self.used = 0
-
-    def admit(self, size: int) -> bool:
-        """Accept ``size`` bytes, or reject without side effects."""
-        if self.used + size > self.capacity:
-            return False
-        self.used += size
-        return True
-
-    def release(self, size: int) -> None:
-        self.used -= size
-        assert self.used >= 0, "buffer accounting went negative"
-
-
 # ------------------------------------------------------------------ events
 
 class TimerKind(IntEnum):
@@ -228,9 +202,12 @@ class Engine:
         self.seed = seed
         self.now_us = 0
 
-        capacity = (profile.buffer_capacity_bytes
-                    if buffer_capacity is None else buffer_capacity)
-        self.buffers = [IngressBuffer(capacity) for _ in range(n)]
+        self.buffer_capacity = (
+            profile.buffer_capacity_bytes if buffer_capacity is None
+            else buffer_capacity)
+        if self.buffer_capacity < 1:
+            raise ValueError("buffer capacity must be >= 1 byte")
+        self.buffer_used = [0] * n  # bytes held in each node's buffer
 
         self._heap: list = []
         self._seqno = 0
@@ -346,7 +323,8 @@ class Engine:
         until_us = to_us(until_s)
         heap = self._heap
         trace = self._trace if self._trace_hash is not None else None
-        buffers = self.buffers
+        capacity = self.buffer_capacity
+        used = self.buffer_used
         crashed = self.crashed
         replicas = self.replicas
         queues = self._cpu_queue
@@ -368,15 +346,18 @@ class Engine:
                 if crashed[node]:
                     self.to_crashed += 1
                     continue
-                if not buffers[node].admit(payload.size):
+                held = used[node] + payload.size
+                if held > capacity:
                     dropped[node] += 1
                     continue
+                used[node] = held
                 if cpu_free_us[node] > at:
                     queues[node].append(payload)
                     continue
                 msg = payload
             elif tag == _EV_SERVICE:
-                buffers[node].release(payload.size)
+                used[node] -= payload.size
+                assert used[node] >= 0, "buffer accounting went negative"
                 if crashed[node]:
                     self.lost_to_crash += 1
                     continue
@@ -429,9 +410,7 @@ class Engine:
         self.crashed[node] = True
         queue = self._cpu_queue[node]
         self.lost_to_crash += len(queue)
-        buffer = self.buffers[node]
-        for msg in queue:
-            buffer.release(msg.size)
+        self.buffer_used[node] -= sum(msg.size for msg in queue)
         queue.clear()
 
     # ------------------------------------------------------------- trace

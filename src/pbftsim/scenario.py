@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, get_args, get_type_hints
 
 from .metrics import MetricsReport, finalize
-from .netsim import PROFILES, DeviceProfile, Engine, LatencyModel, to_us
-from .replica import EquivocatingReplica, Replica, ReplicaConfig
-from .workload import GeneratorConfig, TransactionSource
+from .netsim import PROFILES, DeviceProfile, Engine, LatencyModel
+from .replica import EquivocatingReplica, Replica
+from .workload import TransactionSource
 
 __all__ = ["ScenarioConfig", "RunResult", "parse_config", "parse_config_text",
            "format_config", "run_scenario"]
@@ -73,6 +73,8 @@ class ScenarioConfig:
         for node in self.equivocators:
             if not 0 <= node < self.nodes:
                 raise ValueError(f"equivocators: node {node} out of range")
+        if self.seed < 0:
+            raise ValueError("seed: must be >= 0")
 
     def profile(self) -> DeviceProfile:
         return PROFILES[self.device_profile]
@@ -221,29 +223,14 @@ def run_scenario(config: ScenarioConfig, trace: bool = False) -> RunResult:
         buffer_capacity=config.buffer_capacity_bytes,
         trace=trace,
     )
-    rconfig = ReplicaConfig(
-        n=config.nodes,
-        block_size=config.block_size,
-        retry_period_us=to_us(config.retry_period_s),
-        view_timeout_us=to_us(config.view_change_timeout_s),
-    )
-    equivocators = set(config.equivocators)
     replicas = []
     for node in range(config.nodes):
-        cls = EquivocatingReplica if node in equivocators else Replica
-        replica = cls(node, engine, rconfig)
+        cls = EquivocatingReplica if node in config.equivocators else Replica
+        replica = cls(node, engine, config)
         engine.attach_replica(node, replica)
         replicas.append(replica)
-
-    gen = GeneratorConfig(
-        period_s=config.generation_period_s,
-        payload_bytes=config.profile().tx_payload_bytes,
-        jitter=config.jitter,
-        until_s=config.duration_s,
-    )
-    for node in range(config.nodes):
-        source = TransactionSource(node, gen)
-        engine.attach_source(node, source, source.phase_s(config.nodes))
+        source = TransactionSource(node, config)
+        engine.attach_source(node, source, source.phase_s)
 
     for node, at_s in config.crashes:
         engine.schedule_crash(node, at_s)

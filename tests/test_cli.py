@@ -3,7 +3,7 @@
 import pytest
 
 from pbftsim.cli import main
-from pbftsim.metrics import read_report
+from pbftsim.metrics import parse_report
 
 QUICK_CFG = """\
 nodes = 4
@@ -37,21 +37,21 @@ class TestRun:
     def test_writes_report(self, cfg, tmp_path):
         out = tmp_path / "run.out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
-        report = read_report(out)
+        report = parse_report(out.read_text())
         assert report.total_committed > 0
         assert report.summary["seed"] == "7"
 
     def test_seed_override(self, cfg, tmp_path):
         out = tmp_path / "run.out"
         main(["run", str(cfg), "--seed", "123", "--out", str(out)])
-        assert read_report(out).summary["seed"] == "123"
+        assert parse_report(out.read_text()).summary["seed"] == "123"
 
     def test_trace_hash_reproducible(self, cfg, tmp_path):
         a, b = tmp_path / "a.out", tmp_path / "b.out"
         main(["run", str(cfg), "--trace", "--out", str(a)])
         main(["run", str(cfg), "--trace", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
-        assert "trace_hash" in read_report(a).summary
+        assert "trace_hash" in parse_report(a.read_text()).summary
 
     def test_stdout_default(self, cfg, capsys):
         assert main(["run", str(cfg)]) == 0
@@ -67,6 +67,10 @@ class TestRun:
         path.write_text("nodes = 4\nwat = 1\n")
         assert main(["run", str(path)]) == 1
         assert ":2" in capsys.readouterr().err
+
+    def test_negative_seed_names_key(self, cfg, capsys):
+        assert main(["run", str(cfg), "--seed", "-1"]) == 1
+        assert "seed: must be >= 0" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -123,6 +127,14 @@ class TestLoadStudy:
         sweep = tmp_path / "s.cfg"
         sweep.write_text(QUICK_SWEEP)
         assert main(["load-study", "--preset", str(sweep)]) == 1
+        assert "--nodes" in capsys.readouterr().err
+
+    def test_bad_nodes_names_option(self, tmp_path, capsys):
+        sweep = tmp_path / "s.cfg"
+        sweep.write_text(QUICK_SWEEP.replace("axis = block_size",
+                                             "axis = nodes"))
+        assert main(["load-study", "--preset", str(sweep),
+                     "--nodes", "4,,8"]) == 1
         assert "--nodes" in capsys.readouterr().err
 
     def test_profile_override(self, tmp_path, capsys):

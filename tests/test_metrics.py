@@ -2,8 +2,7 @@
 
 import pytest
 
-from pbftsim.metrics import (finalize, parse_report, read_report,
-                             render_report, write_report)
+from pbftsim.metrics import finalize, parse_report, render_report
 
 
 class StubReplica:
@@ -134,12 +133,6 @@ class TestRoundTrip:
         text = render_report(report)
         assert parse_report(text) == report
         assert render_report(parse_report(text)) == text
-
-    def test_file_round_trip(self, tmp_path):
-        report = small_report()
-        path = tmp_path / "run.out"
-        write_report(report, path)
-        assert read_report(path) == report
 
     def test_rejects_unknown_version(self):
         text = render_report(small_report())

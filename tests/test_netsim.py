@@ -8,7 +8,6 @@ from pbftsim.netsim import (
     PROFILES,
     DeviceProfile,
     Engine,
-    IngressBuffer,
     LatencyModel,
     TimerKind,
     to_us,
@@ -170,21 +169,43 @@ def test_crashed_sender_sends_nothing():
 # ---------------------------------------------------------------- buffers
 
 def test_buffer_admits_until_capacity():
-    buf = IngressBuffer(4096)
-    assert buf.admit(1122)
-    assert buf.admit(1122)
-    assert buf.admit(1122)
-    assert not buf.admit(1122)  # 4488 > 4096
-    assert buf.used == 3366
+    # One 1122-byte frame in service and two queued fill 3366 of 4096
+    # bytes; a fourth would need 4488 and is dropped.
+    prof = profile(cost=1.0, buffer=4096)
+    eng, _ = make_engine(prof=prof)
+    assert eng.buffer_capacity == 4096
+    with pytest.raises(ValueError):
+        make_engine(buffer_capacity=0)
+    for counter in range(4):
+        eng.send(0, 1, tx_msg(counter=counter))
+    eng.run(0.5)
+    assert eng.dropped[1] == 1
+    assert eng.buffer_used == [0, 3366]
 
 
 def test_buffer_boundary_exact_fit():
-    buf = IngressBuffer(2244)
-    assert buf.admit(1122)
-    assert buf.admit(1122)
-    assert not buf.admit(1)
-    buf.release(1122)
-    assert buf.admit(1122)
+    # Two 1122-byte frames fill 2244 bytes exactly; with one byte less
+    # the second is dropped.
+    for capacity, dropped in ((2243, 1), (2244, 0)):
+        eng, recs = make_engine(prof=profile(cost=1.0, buffer=capacity))
+        eng.send(0, 1, tx_msg(counter=0))
+        eng.send(0, 1, tx_msg(counter=1))
+        eng.run(0.5)
+        assert eng.dropped[1] == dropped
+        assert eng.buffer_used[1] == (2 - dropped) * 1122
+    # While both are held a third frame is dropped; once the first
+    # service ends (at about 1.0009 s) its bytes take the next one.
+    eng.send(0, 1, tx_msg(counter=2))
+    eng.run(1.5)
+    assert eng.dropped[1] == 1
+    assert eng.buffer_used[1] == 1122
+    eng.send(0, 1, tx_msg(counter=3))
+    eng.run(1.6)
+    assert eng.dropped[1] == 1
+    assert eng.buffer_used[1] == 2244
+    eng.run(10.0)
+    assert [m.tx.counter for _, m in recs[1].messages] == [0, 1, 3]
+    assert eng.buffer_used[1] == 0
 
 
 def test_slow_node_drops_fourth_transaction():
@@ -212,7 +233,7 @@ def test_buffer_bytes_freed_after_processing():
     eng.run(10.0)
     assert eng.dropped[1] >= 1
     assert len(recs[1].messages) + eng.dropped[1] == 4
-    assert eng.buffers[1].used == 0
+    assert eng.buffer_used[1] == 0
 
 
 def test_fifo_service_order():
@@ -256,10 +277,10 @@ def test_crash_discards_queued_work():
     eng.run(0.05)
     # The crash frees the two queued frames; the one in service holds
     # its bytes until its service ends.
-    assert eng.buffers[1].used == 1122
+    assert eng.buffer_used[1] == 1122
     eng.run(10.0)
     assert recs[1].messages == []
-    assert eng.buffers[1].used == 0
+    assert eng.buffer_used[1] == 0
     assert eng.lost_to_crash == 3
 
 
@@ -365,6 +386,8 @@ def test_profile_validation():
         profile(cost=-1.0)
     with pytest.raises(ValueError):
         profile(buffer=0)
+    with pytest.raises(ValueError):
+        profile(payload=0)
 
 
 # ------------------------------------------------------------ determinism

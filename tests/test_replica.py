@@ -8,8 +8,8 @@ covered in test_scenario.py.
 import pytest
 
 from pbftsim.netsim import TimerKind
-from pbftsim.replica import (MAX_INFLIGHT, EquivocatingReplica, Entry,
-                             Replica, ReplicaConfig)
+from pbftsim.replica import MAX_INFLIGHT, EquivocatingReplica, Entry, Replica
+from pbftsim.scenario import ScenarioConfig
 from pbftsim.wire import Message, MsgKind, Transaction, block_digest
 
 
@@ -37,7 +37,7 @@ class FakeEngine:
 
 def make_replica(node=0, n=4, block=2, cls=Replica):
     engine = FakeEngine(n)
-    config = ReplicaConfig(n=n, block_size=block)
+    config = ScenarioConfig(nodes=n, block_size=block)
     replica = cls(node, engine, config)
     replica.start()
     return replica, engine
@@ -60,6 +60,14 @@ def primary_announcement(n=4, block=2, seq=1):
     relays = engine.of_kind(MsgKind.CLIENT_REQUEST)
     assert heads and len(relays) == block
     return primary, heads[-1], relays
+
+
+def test_attributes_fit_the_shared_layout():
+    # See the comment on Replica.__init__: a 30th attribute slows
+    # every handler.
+    for cls in (Replica, EquivocatingReplica):
+        replica, _ = make_replica(cls=cls)
+        assert len(vars(replica)) < 30
 
 
 # ----------------------------------------------------------- proposing

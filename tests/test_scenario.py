@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from pbftsim.metrics import render_report
+from pbftsim.netsim import _EV_SERVICE
 from pbftsim.scenario import (ScenarioConfig, format_config, parse_config,
                               parse_config_text, run_scenario)
 
@@ -83,6 +84,13 @@ class TestParser:
             "latency_dist = pareto\n": "distribution",
             "jitter = 1.5\n": "jitter",
             "crashes = 9@10\n": "out of range",
+            "generation_period_s = 0\n": "generation_period_s",
+            "jitter = 1.0\n": "jitter",
+            "block_size = 0\n": "block_size",
+            "retry_period_s = 0\n": "retry_period_s",
+            "view_change_timeout_s = 0\n": "view_change_timeout_s",
+            "buffer_capacity_bytes = 0\n": "buffer_capacity_bytes",
+            "seed = -1\n": "seed: must be >= 0",
         }
         for text, needle in cases.items():
             with pytest.raises(ValueError) as err:
@@ -168,7 +176,23 @@ class TestRun:
             jitter=0.05, seed=4242)
         engine = run_scenario(config).engine
         assert engine.crashed[2]
-        assert engine.buffers[2].used == 0
+        assert engine.buffer_used[2] == 0
+
+    def test_buffer_bytes_match_queued_and_in_service_frames(self):
+        # Overflowing buffers and a crash: at the end every node's
+        # buffer holds exactly its queued frames and the one in service.
+        config = ScenarioConfig(
+            nodes=10, block_size=4, generation_period_s=1.0,
+            device_profile="mcu8", latency_dist="exponential",
+            latency_mean_s=0.02, buffer_capacity_bytes=8192,
+            duration_s=180, crashes=((3, 50.0),), seed=11)
+        engine = run_scenario(config).engine
+        assert max(engine.dropped) > 1000
+        held = [sum(msg.size for msg in queue) for queue in engine._cpu_queue]
+        for _, _, tag, node, msg in engine._heap:
+            if tag == _EV_SERVICE:
+                held[node] += msg.size
+        assert engine.buffer_used == held
 
     def test_observer_falls_back_when_node0_crashes(self):
         res = run_scenario(quick(crashes=((0, 10.0),)))
