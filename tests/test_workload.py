@@ -1,12 +1,16 @@
 """Tests for staggered periodic transaction generation.
 
 Sources read their period, jitter, payload and duration from the run's
-``ScenarioConfig``; the config's own validation is tested in
-test_scenario.py.
+``ScenarioConfig``; the checks on those inputs are tested here, the rest
+of the config's validation in test_scenario.py.
 """
 
-import numpy as np
+from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from pbftsim.netsim import PROFILES
 from pbftsim.scenario import ScenarioConfig
 from pbftsim.workload import TransactionSource
 
@@ -99,3 +103,19 @@ class TestJitter:
         history = drive(TransactionSource(0, cfg), rng)
         ats = [at for _, at in history]
         assert all(b > a for a, b in zip(ats, ats[1:]))
+
+
+class TestValidation:
+    """The inputs a source reads are checked before any source is built."""
+
+    def test_rejects_bad_period(self):
+        with pytest.raises(ValueError, match="generation_period_s"):
+            config(0).validate()
+
+    def test_rejects_bad_jitter(self):
+        with pytest.raises(ValueError, match="jitter"):
+            config(5.0, jitter=1.0).validate()
+
+    def test_rejects_bad_payload(self):
+        with pytest.raises(ValueError, match="payload"):
+            replace(PROFILES["mcu8"], tx_payload_bytes=0)
