@@ -75,15 +75,17 @@ def derive_seed(master: int, idx: int, rep: int) -> int:
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
 
 
-_SWEEP_KEYS = ("axis", "values", "axis2", "values2", "repetitions")
+_SWEEP_KEYS = ("axis", "values", "axis2", "values2", "repetitions", "seed")
 
 
 def parse_sweep_text(text: str, name: str = "sweep",
                      source: str = "<sweep>") -> SweepSpec:
     """Parse a sweep definition: sweep keys plus a base scenario.
 
-    The sweep-level keys (axis, values, axis2, values2, repetitions)
-    are extracted; every other line must be a valid scenario key.
+    The sweep-level keys (axis, values, axis2, values2, repetitions,
+    seed) are extracted; every other line must be a valid scenario key.
+    ``seed`` is the master seed: it is only hashed into the per-run
+    seeds, which ``run_scenario`` validates, so any integer is taken.
     """
     sweep: dict = {}
     base_lines = []
@@ -115,18 +117,20 @@ def parse_sweep_text(text: str, name: str = "sweep",
                                for v in joined.split(",") if v.strip())
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: bad {key}: {exc}") from None
-    reps = 1
-    if "repetitions" in sweep:
-        lineno, value = sweep["repetitions"]
-        try:
-            reps = int(value)
-        except ValueError:
-            raise ValueError(f"{source}:{lineno}: bad repetitions") from None
+    ints = {"repetitions": 1, "seed": base.seed}
+    for key in ints:
+        if key in sweep:
+            lineno, value = sweep[key]
+            try:
+                ints[key] = int(value)
+            except ValueError:
+                raise ValueError(f"{source}:{lineno}: bad {key}") from None
+    base.seed = ints["seed"]
     try:
         return SweepSpec(name=name, base=base, axis=axis,
                          values=sweep["values"], axis2=axis2,
                          values2=sweep.get("values2", ()),
-                         repetitions=reps)
+                         repetitions=ints["repetitions"])
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 

@@ -100,6 +100,20 @@ class TestSweep:
         main(["sweep", str(sweep), "--seed", "1", "--out", str(b)])
         assert a.read_text() != b.read_text()
 
+    def test_negative_master_seed_runs_from_file_and_option(self, tmp_path):
+        # a master seed is only hashed into the run seeds, so a negative
+        # one is taken, and the file and --seed give the same runs
+        (tmp_path / "file").mkdir()
+        neg = tmp_path / "file" / "s.cfg"
+        neg.write_text(QUICK_SWEEP.replace("seed = 7", "seed = -1"))
+        sweep = tmp_path / "s.cfg"
+        sweep.write_text(QUICK_SWEEP)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", str(neg), "--out", str(a)]) == 0
+        assert main(["sweep", str(sweep), "--seed", "-1",
+                     "--out", str(b)]) == 0
+        assert a.read_text() == b.read_text()
+
 
 class TestLoadStudy:
     def test_writes_study(self, tmp_path):

@@ -61,6 +61,15 @@ class TestSpec:
             parse_sweep_text(bad, source="s.cfg")
         assert "s.cfg:4" in str(err.value)
 
+    def test_master_seed_may_be_negative(self):
+        # the master seed is only hashed; each run's seed is validated
+        spec = parse_sweep_text(SWEEP_TEXT.replace("seed = 9", "seed = -1"))
+        assert spec.base.seed == -1
+        with pytest.raises(ValueError) as err:
+            parse_sweep_text(SWEEP_TEXT.replace("seed = 9", "seed = x"),
+                             source="s.cfg")
+        assert "s.cfg:8: bad seed" in str(err.value)
+
     def test_seed_derivation_is_stable(self):
         assert derive_seed(0, 0, 0) == derive_seed(0, 0, 0)
         seeds = {derive_seed(1, i, r) for i in range(3) for r in range(3)}

@@ -9,16 +9,14 @@ report.  For each workload the script records
 
   * events executed and Python calls per event under cProfile, from
     one run (both are deterministic for a given tree);
-  * the min and median wall time of ``--reps`` plain runs in this
-    process.
+  * the min and median wall time of five plain runs in this process.
 
 It appends one record per workload to the JSON list in ``out``,
 naming the checkout's git commit, whether its tracked files had
 uncommitted changes, and a digest of ``src/pbftsim``, so that records
 of the same code can be told apart from records of different code.
 
-    python3 tools/bench_counters.py BENCH_<n>.json [--reps 5] \\
-        [--workload implant-30 ...]
+    python3 tools/bench_counters.py BENCH_<n>.json
 
 It imports ``pbftsim`` from the ``src/`` directory and the workload
 definitions from the ``perfbench/`` directory next to it, and edits
@@ -45,6 +43,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import srcpath  # noqa: E402,F401  (puts src/ first on the import path)
 from pbftsim import metrics, scenario, sweeps  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
+
+REPS = 5
 
 
 def run_once(wl) -> int:
@@ -88,14 +88,14 @@ def src_digest() -> str:
     return h.hexdigest()
 
 
-def measure(wl, reps: int) -> dict:
+def measure(wl) -> dict:
     profiler = cProfile.Profile()
     profiler.enable()
     events = run_once(wl)
     profiler.disable()
     calls = sum(stat[1] for stat in pstats.Stats(profiler).stats.values())
     walls = []
-    for _ in range(reps):
+    for _ in range(REPS):
         start = time.perf_counter()
         if run_once(wl) != events:
             sys.exit(f"{wl.name}: event count changed between runs")
@@ -115,14 +115,7 @@ def measure(wl, reps: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="JSON log to append to")
-    parser.add_argument("--reps", type=int, default=5,
-                        help="plain runs per workload (default 5)")
-    parser.add_argument("--workload", action="append",
-                        choices=sorted(WORKLOADS),
-                        help="measure only these (default: all three)")
     args = parser.parse_args(argv)
-    if args.reps < 1:
-        parser.error("--reps must be >= 1")
     stamp = {
         "commit": git("rev-parse", "--short", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
@@ -132,8 +125,8 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
     }
     log = json.loads(args.out.read_text()) if args.out.exists() else []
-    for name in args.workload or WORKLOADS:
-        record = dict(stamp, **measure(WORKLOADS[name], args.reps))
+    for wl in WORKLOADS.values():
+        record = dict(stamp, **measure(wl))
         print(json.dumps(record), file=sys.stderr)
         log.append(record)
         args.out.write_text(json.dumps(log, indent=1) + "\n")
