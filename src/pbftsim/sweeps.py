@@ -82,10 +82,8 @@ def parse_sweep_text(text: str, name: str = "sweep",
                      source: str = "<sweep>") -> SweepSpec:
     """Parse a sweep definition: sweep keys plus a base scenario.
 
-    The sweep-level keys (axis, values, axis2, values2, repetitions,
-    seed) are extracted; every other line must be a valid scenario key.
-    ``seed`` is the master seed: it is only hashed into the per-run
-    seeds, which ``run_scenario`` validates, so any integer is taken.
+    The sweep keys (axis, values, axis2, values2, repetitions, and seed:
+    any integer, as a master seed) are taken out; the rest is the base.
     """
     sweep: dict = {}
     base_lines = []
@@ -118,17 +116,15 @@ def parse_sweep_text(text: str, name: str = "sweep",
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: bad {key}: {exc}") from None
     ints = {"repetitions": 1, "seed": base.seed}
-    for key in ints:
-        if key in sweep:
-            lineno, value = sweep[key]
-            try:
-                ints[key] = int(value)
-            except ValueError:
-                raise ValueError(f"{source}:{lineno}: bad {key}") from None
-    base.seed = ints["seed"]
+    for key in filter(sweep.__contains__, ints):
+        lineno, value = sweep[key]
+        try:
+            ints[key] = int(value)
+        except ValueError:
+            raise ValueError(f"{source}:{lineno}: bad {key}") from None
     try:
-        return SweepSpec(name=name, base=base, axis=axis,
-                         values=sweep["values"], axis2=axis2,
+        return SweepSpec(name=name, base=replace(base, seed=ints["seed"]),
+                         axis=axis, values=sweep["values"], axis2=axis2,
                          values2=sweep.get("values2", ()),
                          repetitions=ints["repetitions"])
     except ValueError as exc:
