@@ -1,12 +1,13 @@
 """Run report: building it from a finished engine, rendering and parsing.
 
 The counters live where their events happen: each replica counts its
-committed blocks and transactions per minute, its retry requests,
-duplicate protocol messages and view changes; the engine counts
-ingress-buffer drops and per-node busy time.  ``finalize`` reads them
-off ``engine.replicas`` once the run is over.  The plotted per-minute
-series comes from one designated observer node — node 0 unless it
-crashed, else the lowest-id never-crashed node.
+committed transactions, retry requests, duplicate protocol messages
+and view changes, and stamps each block with the time it joined its
+ledger; the engine counts ingress-buffer drops and per-node busy time.
+``finalize`` reads them off ``engine.replicas`` once the run is over.
+Only this module knows what a minute is: the plotted per-minute series
+bins the ledger stamps of one designated observer node — node 0
+unless it crashed, else the lowest-id never-crashed node.
 
 The report serializes to delimited text: a versioned summary block of
 key=value lines, then one CSV row per (minute, observer commits),
@@ -18,6 +19,7 @@ the same seed produce identical reports.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass
 
 __all__ = ["MetricsReport", "render_report", "parse_report"]
@@ -91,8 +93,15 @@ def finalize(engine, duration_s: float, config_echo: dict) -> MetricsReport:
     summary["duplicates_total"] = str(sum(r.duplicates for r in replicas))
     summary["sent_packets"] = str(engine.sent_packets)
 
-    minutes = [(minute, obs.blocks_by_minute.get(minute, 0),
-                obs.txs_by_minute.get(minute, 0))
+    # Whole minutes only: a block appended at exactly duration_s counts
+    # in committed_blocks but not in the series.
+    blocks, txs = Counter(), Counter()
+    for height in obs.ledger:
+        entry = obs.entries[height]
+        minute = entry.appended_us // 60_000_000
+        blocks[minute] += 1
+        txs[minute] += len(entry.tx_ids)
+    minutes = [(minute, blocks[minute], txs[minute])
                for minute in range(int(duration_s) // 60)]
 
     nodes = []

@@ -3,6 +3,8 @@
 Time is integer microseconds.  Events are ordered by (time, insertion
 sequence number), so simultaneous events execute in scheduling order
 and every run with the same seed replays the same event sequence.
+The engine keeps no calendar: per-minute series are binned by
+``metrics`` from the times the replicas record.
 
 The node model is a full mesh of devices.  Each device owns
 
@@ -161,7 +163,6 @@ class LatencyModel:
 class TimerKind(IntEnum):
     RETRY = 1
     VIEW_CHANGE = 2
-    MINUTE_TICK = 3
 
 
 # Event tags, kept as plain ints for heap speed.
@@ -240,7 +241,6 @@ class Engine:
         self.busy_nic_us = [0] * n
         self.events_executed = 0
 
-        self.minute_hook = None
         self._trace_hash = hashlib.sha256() if trace else None
         self._trace_lines: list[str] | None = (
             [] if trace and keep_trace_lines else None)
@@ -261,11 +261,6 @@ class Engine:
 
     def schedule_crash(self, node: int, at_s: float) -> None:
         self._push(to_us(at_s), _EV_CRASH, node, None)
-
-    def schedule_minutes(self, duration_s: float) -> None:
-        minute = 60 * US_PER_S
-        for at in range(minute, to_us(duration_s) + 1, minute):
-            self._push(at, _EV_TIMER, 0, TimerKind.MINUTE_TICK)
 
     # ----------------------------------------------------------- sending
 
@@ -368,7 +363,8 @@ class Engine:
                 msg = queue.popleft()
             else:
                 if tag == _EV_TIMER:
-                    self._on_timer(node, payload)
+                    if not crashed[node]:
+                        replicas[node].on_timer(payload, at)
                 elif tag == _EV_GENERATE:
                     self._on_generate(node)
                 else:
@@ -388,14 +384,6 @@ class Engine:
         return executed
 
     # ------------------------------------------------------ event bodies
-
-    def _on_timer(self, node: int, kind: TimerKind) -> None:
-        if kind == TimerKind.MINUTE_TICK:
-            if self.minute_hook is not None:
-                self.minute_hook(self.now_us)
-            return
-        if not self.crashed[node]:
-            self.replicas[node].on_timer(kind, self.now_us)
 
     def _on_generate(self, node: int) -> None:
         if self.crashed[node]:

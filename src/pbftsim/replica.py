@@ -14,7 +14,9 @@ Each slot moves along one chain: pre-prepared with verified content,
 prepared, committed.  ``Replica._advance`` is the one place a slot
 moves through these rounds; every handler that changes a slot's votes
 or content ends by calling it.  Only live slots (``open_seqs``) of the
-current view vote.
+current view vote.  A committed block joins the ledger in height
+order, stamped with the time it joined (``Entry.appended_us``); the
+replica records when, and ``metrics`` bins the stamps into minutes.
 
 A replica reads n, the block size and its two timer periods from the
 run's (validated) ``ScenarioConfig`` once, at construction.
@@ -96,6 +98,7 @@ class Entry:
     commits: set = field(default_factory=set)
     sent_commit: bool = False
     committed: bool = False
+    appended_us: int | None = None  # when the block joined the ledger
 
     def rebind(self, view: int, digest: bytes, block_ref: int) -> None:
         """Bind the slot to a block in a newer view: votes restart, and
@@ -154,9 +157,6 @@ class Replica:
         self.duplicates = 0
         self.view_adoptions = 0
         self.committed_txs = 0
-        # minute -> blocks / transactions appended to the ledger
-        self.blocks_by_minute: dict[int, int] = {}
-        self.txs_by_minute: dict[int, int] = {}
 
         self._handlers = {
             MsgKind.TX_BROADCAST: self._on_tx,
@@ -449,18 +449,13 @@ class Replica:
         """Append committed blocks in height order; a block above a
         not-yet-committed height waits until the gap fills."""
         height = len(self.ledger) + 1
-        minute = now_us // (60 * US_PER_S)
         while True:
             entry = self.entries.get(height)
             if entry is None or not entry.committed:
                 break
             self.ledger.append(height)
-            n_txs = len(entry.tx_ids)
-            self.committed_txs += n_txs
-            self.blocks_by_minute[minute] = (
-                self.blocks_by_minute.get(minute, 0) + 1)
-            self.txs_by_minute[minute] = (
-                self.txs_by_minute.get(minute, 0) + n_txs)
+            entry.appended_us = now_us
+            self.committed_txs += len(entry.tx_ids)
             height += 1
 
     # ------------------------------------------------------------ retries

@@ -63,8 +63,12 @@ class ScenarioConfig:
         if self.buffer_capacity_bytes is not None \
                 and self.buffer_capacity_bytes < 1:
             raise ValueError("buffer_capacity_bytes: must be positive")
-        # the latency model validates dist/mean itself
-        LatencyModel(self.latency_dist, self.latency_mean_s)
+        if self.latency_dist not in LatencyModel.DISTRIBUTIONS:
+            names = ", ".join(LatencyModel.DISTRIBUTIONS)
+            raise ValueError(f"latency_dist: unknown distribution "
+                             f"{self.latency_dist!r} (one of {names})")
+        if self.latency_mean_s < 0:
+            raise ValueError("latency_mean_s: must be >= 0")
         for node, at_s in self.crashes:
             if not 0 <= node < self.nodes:
                 raise ValueError(f"crashes: node {node} out of range")
@@ -234,7 +238,6 @@ def run_scenario(config: ScenarioConfig, trace: bool = False) -> RunResult:
 
     for node, at_s in config.crashes:
         engine.schedule_crash(node, at_s)
-    engine.schedule_minutes(config.duration_s)
     for replica in replicas:
         replica.start()
 

@@ -170,33 +170,35 @@ class SweepResult:
         return float(np.mean(self.totals()[(value, value2)]))
 
 
-def _sweep_points(spec: SweepSpec):
-    for idx, value in enumerate(spec.values):
-        if spec.axis2 is None:
-            yield idx, value, None
-        else:
-            for value2 in spec.values2:
-                yield idx, value, value2
-
-
 def run_sweep(spec: SweepSpec, trace: bool = False) -> SweepResult:
-    result = SweepResult(spec)
-    for idx, value, value2 in _sweep_points(spec):
-        for rep in range(spec.repetitions):
-            seed = derive_seed(spec.base.seed, idx, rep)
-            overrides = {spec.axis: value, "seed": seed}
-            if spec.axis2 is not None:
-                overrides[spec.axis2] = value2
-            config = replace(spec.base, **overrides)
-            run = run_scenario(config, trace=trace)
-            parts = [spec.name, format_value(value)]
+    # Every run's config is built and checked before the first one runs.
+    plan = []
+    for idx, value in enumerate(spec.values):
+        for value2 in spec.values2 if spec.axis2 is not None else (None,):
+            point = {spec.axis: value}
             if value2 is not None:
-                parts.append(format_value(value2))
-            parts.append(f"r{rep}")
-            result.runs.append(SweepRun(
-                scenario_id=":".join(parts), axis_value=value,
-                axis2_value=value2, rep=rep, seed=seed,
-                report=run.report, trace_hash=run.trace_hash))
+                point[spec.axis2] = value2
+            for rep in range(spec.repetitions):
+                seed = derive_seed(spec.base.seed, idx, rep)
+                config = replace(spec.base, seed=seed, **point)
+                try:
+                    config.validate()
+                except ValueError as exc:
+                    where = ", ".join(f"{axis} = {format_value(v)}"
+                                      for axis, v in point.items())
+                    raise ValueError(f"sweep point {where}: {exc}") from None
+                plan.append((value, value2, rep, config))
+    result = SweepResult(spec)
+    for value, value2, rep, config in plan:
+        run = run_scenario(config, trace=trace)
+        parts = [spec.name, format_value(value)]
+        if value2 is not None:
+            parts.append(format_value(value2))
+        parts.append(f"r{rep}")
+        result.runs.append(SweepRun(
+            scenario_id=":".join(parts), axis_value=value,
+            axis2_value=value2, rep=rep, seed=config.seed,
+            report=run.report, trace_hash=run.trace_hash))
     return result
 
 

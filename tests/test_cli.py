@@ -2,6 +2,7 @@
 
 import pytest
 
+from pbftsim import sweeps
 from pbftsim.cli import main
 from pbftsim.metrics import parse_report
 
@@ -150,6 +151,21 @@ class TestLoadStudy:
         assert main(["load-study", "--preset", str(sweep),
                      "--nodes", "4,,8"]) == 1
         assert "--nodes" in capsys.readouterr().err
+
+    def test_bad_size_fails_before_any_run(self, tmp_path, capsys,
+                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(sweeps, "run_scenario",
+                            lambda config, **kw: calls.append(config))
+        sweep = tmp_path / "s.cfg"
+        sweep.write_text(QUICK_SWEEP.replace("axis = block_size",
+                                             "axis = nodes"))
+        out = tmp_path / "load.out"
+        assert main(["load-study", "--preset", str(sweep),
+                     "--nodes", "5,10,3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: sweep point nodes = 3: nodes: must be at least 4\n")
+        assert calls == [] and not out.exists()
 
     def test_profile_override(self, tmp_path, capsys):
         sweep = tmp_path / "s.cfg"

@@ -3,6 +3,7 @@
 import pytest
 
 from pbftsim.metrics import finalize, parse_report, render_report
+from pbftsim.replica import Entry
 
 
 class StubReplica:
@@ -10,21 +11,21 @@ class StubReplica:
 
     def __init__(self):
         self.ledger = []
+        self.entries = {}
         self.view = 0
         self.committed_txs = 0
         self.retries = 0
         self.duplicates = 0
         self.view_adoptions = 0
-        self.blocks_by_minute = {}
-        self.txs_by_minute = {}
 
     def commit(self, n_txs, now_us):
-        minute = now_us // 60_000_000
-        self.ledger.append(len(self.ledger) + 1)
+        height = len(self.ledger) + 1
+        self.entries[height] = Entry(
+            seq=height, view=0, digest=None, block_ref=0, created_us=0,
+            tx_ids=[(height, k) for k in range(n_txs)], committed=True,
+            appended_us=now_us)
+        self.ledger.append(height)
         self.committed_txs += n_txs
-        blocks, txs = self.blocks_by_minute, self.txs_by_minute
-        blocks[minute] = blocks.get(minute, 0) + 1
-        txs[minute] = txs.get(minute, 0) + n_txs
 
 
 class FakeEngine:
@@ -63,9 +64,13 @@ class TestCollector:
         observer.commit(3, 59_999_999)
         observer.commit(3, 60_000_000)
         observer.commit(3, 60_000_001)
+        # appended at exactly the end: counted, but in no minute
+        observer.commit(4, 180_000_000)
         report = finalize(engine, 180, {})
         assert report.minute_blocks == [1, 2, 0]
         assert [txs for _, _, txs in report.minutes] == [3, 6, 0]
+        assert report.total_committed == 4
+        assert report.summary["committed_txs"] == "13"
 
     def test_observer_skips_crashed_nodes(self):
         for crashed, observer in (([False, False, False], 0),

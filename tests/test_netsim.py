@@ -480,12 +480,3 @@ def test_packet_conservation():
     delivered = len(recs[1].messages) + len(recs[2].messages)
     assert (delivered + eng.lost_to_crash + eng.to_crashed
             + sum(eng.dropped) == 60)
-
-
-def test_minute_ticks():
-    eng, _ = make_engine(n=1)
-    minutes = []
-    eng.minute_hook = minutes.append
-    eng.schedule_minutes(180.0)
-    eng.run(180.0)
-    assert minutes == [to_us(60 * (k + 1)) for k in range(3)]

@@ -91,6 +91,8 @@ class TestParser:
             "view_change_timeout_s = 0\n": "view_change_timeout_s",
             "buffer_capacity_bytes = 0\n": "buffer_capacity_bytes",
             "seed = -1\n": "seed: must be >= 0",
+            "latency_mean_s = -1\n": "latency_mean_s: must be >= 0",
+            "latency_dist = gauss\n": "latency_dist: unknown distribution",
         }
         for text, needle in cases.items():
             with pytest.raises(ValueError) as err:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from pbftsim import sweeps
 from pbftsim.scenario import ScenarioConfig
 from pbftsim.sweeps import (PRESETS, SweepSpec, derive_seed, emit_csv,
                             emit_plot_data, fit_load_curve, load_preset,
@@ -122,6 +123,17 @@ class TestRunSweep:
         spec.base = replace(spec.base, seed=10)
         b = run_sweep(spec)
         assert [r.seed for r in a.runs] != [r.seed for r in b.runs]
+
+    def test_bad_point_fails_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sweeps, "run_scenario",
+                            lambda config, **kw: calls.append(config))
+        spec = small_spec(axis="nodes", values=(4, 3))
+        with pytest.raises(ValueError) as err:
+            run_sweep(spec)
+        assert str(err.value) == ("sweep point nodes = 3: "
+                                  "nodes: must be at least 4")
+        assert calls == []
 
     def test_totals_grouped_by_point(self):
         result = run_sweep(small_spec())

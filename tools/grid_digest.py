@@ -13,7 +13,9 @@ buffers and seed 2: 144 cells of 300 simulated seconds.
 
 It imports ``pbftsim`` from the ``src/`` directory next to it and
 prints the digest on standard output, the cell count and run time on
-standard error.
+standard error.  It exits 1, naming the pinned and the new digest,
+when the digest differs from ``PINNED``; a change that moves what a
+seed produces re-pins it and says why.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ FAULTS = {
 }
 LAWS = {"uniform": 0.01, "normal": 0.05, "exponential": 0.02}
 BUFFERS_AND_SEEDS = ((None, 1), (1200, 2))
+PINNED = "e4b5764de3eea477aca5bc7bd47ab3b4dacd09a068bc91e4962317f592a6c224"
 
 
 def cells():
@@ -60,8 +63,13 @@ def main() -> int:
         line = f"{name} {result.trace_hash} {report.hexdigest()}\n"
         combined.update(line.encode())
         count += 1
-    print(combined.hexdigest())
+    digest = combined.hexdigest()
+    print(digest)
     sys.stderr.write(f"{count} cells in {time.perf_counter() - start:.1f} s\n")
+    if digest != PINNED:
+        sys.stderr.write(f"grid digest changed: pinned {PINNED}, "
+                         f"got {digest}\n")
+        return 1
     return 0
 
 
