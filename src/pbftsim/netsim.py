@@ -33,11 +33,21 @@ replica per callback; ``next_tx`` per transaction and
 ``LatencyModel.sample_us`` per delay draw.  The pending queue
 ``Engine._heap`` stays a heap of ``(at_us, seqno, tag, node,
 payload)`` tuples with ``_EV_ARRIVAL`` marking frames in flight.
+
+Each node draws its random numbers from its own ``NodeStream``.  The
+stream draws processing delays from numpy a block at a time, one
+array call per block rather than one call per delay, while
+``sample_us`` still hands out one delay per call.  Before any other
+draw from the node's generator (a source's jitter) the stream
+rewinds: it restores the generator state saved before the block and
+redraws only the delays taken.  Every delay, every jitter value and
+the generator's state are therefore those of one-at-a-time draws.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -51,6 +61,7 @@ __all__ = [
     "US_PER_S",
     "DeviceProfile",
     "PROFILES",
+    "NodeStream",
     "LatencyModel",
     "TimerKind",
     "Engine",
@@ -113,6 +124,71 @@ PROFILES = {
 
 # ----------------------------------------------------------------- latency
 
+# Length bounds of a node stream's block of delays drawn ahead.
+_BLOCK_MIN = 16
+_BLOCK_MAX = 256
+
+
+class NodeStream:
+    """One node's random stream: its generator, and delays drawn ahead.
+
+    ``LatencyModel.sample_us`` takes the node's delays from ``block``
+    one at a time and refills it, when spent, with one array draw.
+    Array and scalar draws read the bit generator identically, so
+    every delay equals a one-at-a-time draw.  Any other draw, such as a
+    source's jitter through :meth:`uniform`, settles the stream first:
+    a block that still holds values is given back by restoring the
+    generator state from before it and redrawing only the values
+    taken, which leaves the generator where one-at-a-time draws would
+    have left it.
+
+    A block starts at ``_BLOCK_MIN`` draws and doubles at each refill
+    up to ``_BLOCK_MAX``; a settle restarts it at the number of draws
+    taken since the previous settle, so a node that settles at a steady
+    pace rarely draws values it then gives back.
+    """
+
+    __slots__ = ("rng", "block", "pos", "_draw", "_state", "_length",
+                 "_taken")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.block = array("q")  # delays in us; -1 marks a rejected draw
+        self.pos = 0  # draws taken from ``block``
+        self._draw = None  # the law that drew ``block``
+        self._state = None  # generator state from before ``block``
+        self._length = _BLOCK_MIN
+        self._taken = 0  # draws taken from earlier blocks since a settle
+
+    def refill(self, draw) -> array:
+        """Replace the spent block with ``draw(rng, length)``."""
+        self._taken += len(self.block)
+        self._draw = draw
+        self._state = self.rng.bit_generator.state
+        self.block = draw(self.rng, self._length)
+        self.pos = 0
+        self._length = min(2 * self._length, _BLOCK_MAX)
+        return self.block
+
+    def settle(self) -> np.random.Generator:
+        """The generator, standing where one-at-a-time draws of the
+        delays taken so far would have left it."""
+        taken = self.pos
+        if taken < len(self.block):
+            self.rng.bit_generator.state = self._state
+            self._draw(self.rng, taken)
+        self._length = min(max(self._taken + taken, _BLOCK_MIN),
+                           _BLOCK_MAX)
+        self._taken = 0
+        self.block = array("q")
+        self.pos = 0
+        return self.rng
+
+    def uniform(self, low: float, high: float) -> float:
+        """One ``Generator.uniform`` draw, made after settling."""
+        return self.settle().uniform(low, high)
+
+
 class LatencyModel:
     """Stochastic per-message processing delay.
 
@@ -138,24 +214,35 @@ class LatencyModel:
     def is_zero(self) -> bool:
         return self.dist == "none"
 
-    def sample_s(self, rng: np.random.Generator) -> float:
-        if self.dist == "none":
-            return 0.0
+    def draw_us(self, rng: np.random.Generator, count: int) -> array:
+        """``count`` draws of the law in whole microseconds, rounded
+        half to even like ``round``; a normal draw below zero, which
+        the law rejects and draws again, reads -1."""
+        mean = self.mean_s
         if self.dist == "uniform":
-            return rng.uniform(0.0, 2.0 * self.mean_s)
-        if self.dist == "exponential":
-            return rng.exponential(self.mean_s)
-        # normal, truncated at zero by resampling
-        sigma = self.mean_s / 3.0
-        while True:
-            value = rng.normal(self.mean_s, sigma)
-            if value >= 0.0:
-                return value
+            values = rng.uniform(0.0, 2.0 * mean, count)
+        elif self.dist == "exponential":
+            values = rng.exponential(mean, count)
+        else:
+            values = rng.normal(mean, mean / 3.0, count)
+        us = np.rint(values * US_PER_S).astype(np.int64)
+        if self.dist == "normal":
+            us[values < 0.0] = -1
+        return array("q", us.tobytes())
 
-    def sample_us(self, rng: np.random.Generator) -> int:
+    def sample_us(self, stream: NodeStream) -> int:
+        """The next delay in microseconds from a node's stream."""
         if self.dist == "none":
             return 0
-        return int(round(self.sample_s(rng) * US_PER_S))
+        block, pos = stream.block, stream.pos
+        while True:
+            if pos == len(block):
+                block, pos = stream.refill(self.draw_us), 0
+            value = block[pos]
+            pos += 1
+            if value >= 0:
+                stream.pos = pos
+                return value
 
 
 # ------------------------------------------------------------------ events
@@ -218,10 +305,11 @@ class Engine:
         # Serialisation time in microseconds, keyed by frame size.
         self._ser_us: dict[int, int] = {}
 
-        # One RNG stream per node, split from the run seed; node i
+        # One random stream per node, split from the run seed; node i
         # always consumes stream i regardless of instrumentation.
         root = np.random.SeedSequence(seed)
-        self.rngs = [np.random.default_rng(s) for s in root.spawn(n)]
+        self.rngs = [NodeStream(np.random.default_rng(s))
+                     for s in root.spawn(n)]
 
         self.replicas: list = [None] * n
         self.sources: list = [None] * n

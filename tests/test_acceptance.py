@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from pbftsim.metrics import render_report
-from pbftsim.netsim import LatencyModel
+from pbftsim.netsim import US_PER_S, LatencyModel, NodeStream
 from pbftsim.scenario import ScenarioConfig, run_scenario
 from pbftsim.sweeps import derive_seed, load_preset, run_load_study, run_sweep
 from pbftsim.wire import (
@@ -290,11 +290,12 @@ def test_seeded_rerun_is_byte_identical():
 def test_latency_sampler_oracles():
     mean_s = 0.05
     for dist in ("uniform", "normal", "exponential"):
-        rng = np.random.default_rng(2026)
+        stream = NodeStream(np.random.default_rng(2026))
         model = LatencyModel(dist, mean_s)
-        draws = np.array([model.sample_s(rng) for _ in range(100_000)])
-        assert abs(draws.mean() - mean_s) <= 0.02 * mean_s, dist
+        draws = np.array([model.sample_us(stream) for _ in range(100_000)])
+        mean_us = mean_s * US_PER_S
+        assert abs(draws.mean() - mean_us) <= 0.02 * mean_us, dist
         if dist == "exponential":
-            below = float(np.mean(draws <= mean_s))
+            below = float(np.mean(draws <= mean_us))
             target = 1.0 - math.exp(-1.0)
             assert abs(below - target) <= 0.01 * target

@@ -7,7 +7,12 @@ either must re-pin these digests and say why.  The cells cover a
 crash with jitter, the implant radio, an overflowing-buffer retry
 storm, an equivocator and a crash of the view-0 primary (five view
 changes, so its successors' re-proposals are pinned), across all
-three delay laws.
+three delay laws.  Jitter is pinned with each law: a jitter draw
+shares the node's random stream with the delays, which are drawn
+ahead in blocks, so these cells pin the rewind before each jitter
+draw on uniform delays and on the two laws whose samplers take a
+variable number of raw draws (normal, with its rejections, and
+exponential).
 """
 
 import hashlib
@@ -49,6 +54,14 @@ CELLS = {
         "cbd58c892c279a41a3419a5af3237017c752f6fc7054de779f86a8fc9df00de4",
         "1d8ad6108792bce622a7b922b44ba9525e0f7fbb9104f3971f03d972bcdcbe8f",
     ),
+    "jitter-normal": (
+        ScenarioConfig(nodes=7, block_size=3, generation_period_s=1.0,
+                       device_profile="mcu32", latency_dist="normal",
+                       latency_mean_s=0.05, duration_s=120, jitter=0.3,
+                       seed=3),
+        "14c3f6fa6f7d3137314528828243b1ccc080731537d221cef79ac412cfe7cbfe",
+        "fbb4489c53b635f287082fee7081eebc16c33f50f660bc820bae2e879e387871",
+    ),
     "primary-crash-exponential": (
         ScenarioConfig(nodes=7, block_size=5, generation_period_s=1.0,
                        device_profile="mcu32", latency_dist="exponential",
@@ -56,6 +69,14 @@ CELLS = {
                        crashes=((0, 40.0),), seed=1),
         "971fbd92e6c5c4b2aa3f59f93b57223f34f0e09b51e58ff443c79bb7e3566577",
         "1852248db6a9e43a9d322357c971e158ba4249e5c05c106092cf8034f07c00b7",
+    ),
+    "primary-crash-jitter-exponential": (
+        ScenarioConfig(nodes=7, block_size=5, generation_period_s=1.0,
+                       device_profile="mcu32", latency_dist="exponential",
+                       latency_mean_s=0.02, duration_s=180,
+                       crashes=((0, 40.0),), jitter=0.1, seed=7),
+        "5aba32630828de64fa6dd8a68b1ec7e1b3dc6cf027d5f13bf6888cc2e878b290",
+        "d385a4f6f19e979e91ae939094dc1de84577e8ada5d4e4e2183686dcbcd9498b",
     ),
 }
 

@@ -1,14 +1,18 @@
 """Network simulator tests: event ordering, NIC serialisation,
 ingress buffers, latency samplers, crashes, determinism."""
 
+import random
+
 import numpy as np
 import pytest
 
 from pbftsim.netsim import (
     PROFILES,
+    US_PER_S,
     DeviceProfile,
     Engine,
     LatencyModel,
+    NodeStream,
     TimerKind,
     to_us,
 )
@@ -298,56 +302,99 @@ def test_none_latency_is_zero_and_skips_rng():
     lat = LatencyModel("none")
     rng = np.random.default_rng(1)
     state_before = rng.bit_generator.state
-    assert lat.sample_s(rng) == 0.0
-    assert lat.sample_us(rng) == 0
+    assert lat.sample_us(NodeStream(rng)) == 0
     assert rng.bit_generator.state == state_before
 
 
 def test_zero_mean_collapses_to_none():
     lat = LatencyModel("exponential", 0.0)
     assert lat.is_zero
-    assert lat.sample_us(np.random.default_rng(0)) == 0
+    assert lat.sample_us(NodeStream(np.random.default_rng(0))) == 0
 
 
 @pytest.mark.parametrize("dist", ["uniform", "normal", "exponential"])
 def test_sampler_mean_matches_parameter(dist):
     mean = 0.03
     lat = LatencyModel(dist, mean)
-    rng = np.random.default_rng(42)
-    draws = np.array([lat.sample_s(rng) for _ in range(100_000)])
-    assert abs(draws.mean() - mean) / mean < 0.02
-    assert (draws >= 0.0).all()
+    stream = NodeStream(np.random.default_rng(42))
+    draws = np.array([lat.sample_us(stream) for _ in range(100_000)])
+    assert abs(draws.mean() - mean * US_PER_S) / (mean * US_PER_S) < 0.02
+    assert (draws >= 0).all()
 
 
 def test_uniform_support_is_zero_to_twice_mean():
     mean = 0.05
     lat = LatencyModel("uniform", mean)
-    rng = np.random.default_rng(3)
-    draws = np.array([lat.sample_s(rng) for _ in range(50_000)])
-    assert draws.max() <= 2 * mean
-    assert draws.min() >= 0.0
+    stream = NodeStream(np.random.default_rng(3))
+    draws = np.array([lat.sample_us(stream) for _ in range(50_000)])
+    assert draws.max() <= 2 * mean * US_PER_S
+    assert draws.min() >= 0
     # Support edges actually approached.
-    assert draws.max() > 1.98 * mean
-    assert draws.min() < 0.02 * mean
+    assert draws.max() > 1.98 * mean * US_PER_S
+    assert draws.min() < 0.02 * mean * US_PER_S
 
 
 def test_exponential_cdf_at_mean():
     # P(X <= mean) for an exponential is 1 - 1/e ~ 0.63212.
     mean = 0.02
     lat = LatencyModel("exponential", mean)
-    rng = np.random.default_rng(11)
-    draws = np.array([lat.sample_s(rng) for _ in range(100_000)])
-    frac = (draws <= mean).mean()
+    stream = NodeStream(np.random.default_rng(11))
+    draws = np.array([lat.sample_us(stream) for _ in range(100_000)])
+    frac = (draws <= mean * US_PER_S).mean()
     assert abs(frac - (1.0 - np.exp(-1.0))) < 0.01
 
 
 def test_normal_spread_is_third_of_mean():
     mean = 0.3
     lat = LatencyModel("normal", mean)
-    rng = np.random.default_rng(5)
-    draws = np.array([lat.sample_s(rng) for _ in range(100_000)])
-    assert abs(draws.std() - mean / 3.0) / (mean / 3.0) < 0.03
-    assert draws.min() >= 0.0
+    stream = NodeStream(np.random.default_rng(5))
+    draws = np.array([lat.sample_us(stream) for _ in range(100_000)])
+    sigma_us = mean / 3.0 * US_PER_S
+    assert abs(draws.std() - sigma_us) / sigma_us < 0.03
+    assert draws.min() >= 0
+
+
+def scalar_us(dist, mean, rng):
+    """One delay drawn one value at a time, as the reference for
+    ``NodeStream``'s block draws."""
+    if dist == "uniform":
+        value = rng.uniform(0.0, 2.0 * mean)
+    elif dist == "exponential":
+        value = rng.exponential(mean)
+    else:
+        value = rng.normal(mean, mean / 3.0)
+        while value < 0.0:
+            value = rng.normal(mean, mean / 3.0)
+    return int(round(value * 1e6))
+
+
+@pytest.mark.parametrize("jitter", [False, True],
+                         ids=["delays", "delays-and-jitter"])
+@pytest.mark.parametrize("dist", ["uniform", "normal", "exponential"])
+def test_stream_equals_scalar_draws(dist, jitter):
+    # Seed 5 puts a rejected normal draw at the end of a block in both
+    # normal cases, so a refill skips it.
+    mean = 0.05
+    lat = LatencyModel(dist, mean)
+    stream = NodeStream(np.random.default_rng(5))
+    ref = np.random.default_rng(5)
+    gaps = random.Random(5)
+    next_jitter = 0
+    boundary_rejections = 0
+    for i in range(50_000):
+        # Jitter draws at irregular points: back to back, after runs
+        # that fill a block exactly, and after runs that stop inside one.
+        while jitter and i == next_jitter:
+            assert stream.uniform(-1.0, 1.0) == ref.uniform(-1.0, 1.0)
+            next_jitter += gaps.choice(
+                (0, 1, 37, 37, 37, 255, 256, 700, gaps.randint(2, 400)))
+        left = stream.block[stream.pos:]
+        if left and max(left) < 0:
+            boundary_rejections += 1
+        assert lat.sample_us(stream) == scalar_us(dist, mean, ref), i
+    assert stream.settle().bit_generator.state == ref.bit_generator.state
+    if dist == "normal":
+        assert boundary_rejections >= 1
 
 
 def test_unknown_distribution_rejected():

@@ -8,7 +8,11 @@ default seed.  A run is the program's own calls: ``run_scenario``, or
 report.  For each workload the script records
 
   * events executed and Python calls per event under cProfile, from
-    one run (both are deterministic for a given tree);
+    one run (both are deterministic for a given tree); calls are
+    summed over ``Profile.getstats()``, one entry per code object, so
+    the generated ``__init__`` of each dataclass counts on its own
+    (``pstats.Stats`` keys entries by file, line and name, and merges
+    every such ``__init__`` into one);
   * the min and median wall time of five plain runs in this process.
 
 It appends one record per workload to the JSON list in ``out``,
@@ -30,7 +34,6 @@ import cProfile
 import hashlib
 import json
 import platform
-import pstats
 import statistics
 import subprocess
 import sys
@@ -93,7 +96,7 @@ def measure(wl) -> dict:
     profiler.enable()
     events = run_once(wl)
     profiler.disable()
-    calls = sum(stat[1] for stat in pstats.Stats(profiler).stats.values())
+    calls = sum(entry.callcount for entry in profiler.getstats())
     walls = []
     for _ in range(REPS):
         start = time.perf_counter()
