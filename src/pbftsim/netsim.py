@@ -36,9 +36,9 @@ payload)`` tuples with ``_EV_ARRIVAL`` marking frames in flight.
 
 Each node draws its random numbers from its own ``NodeStream``.  The
 stream draws processing delays from numpy a block at a time, one
-array call per block rather than one call per delay, while
-``sample_us`` still hands out one delay per call.  Before any other
-draw from the node's generator (a source's jitter) the stream
+array call per block of ``_BLOCK`` rather than one call per delay,
+while ``sample_us`` still hands out one delay per call.  Before any
+other draw from the node's generator (a source's jitter) the stream
 rewinds: it restores the generator state saved before the block and
 redraws only the delays taken.  Every delay, every jitter value and
 the generator's state are therefore those of one-at-a-time draws.
@@ -124,50 +124,42 @@ PROFILES = {
 
 # ----------------------------------------------------------------- latency
 
-# Length bounds of a node stream's block of delays drawn ahead.
-_BLOCK_MIN = 16
-_BLOCK_MAX = 256
+# Delays a node stream draws ahead in one array call.
+_BLOCK = 256
 
 
 class NodeStream:
     """One node's random stream: its generator, and delays drawn ahead.
 
     ``LatencyModel.sample_us`` takes the node's delays from ``block``
-    one at a time and refills it, when spent, with one array draw.
+    one at a time and refills it, when spent, with one array draw of
+    ``_BLOCK`` values by ``draw``, the engine's law
+    (``LatencyModel.draw_us``, or None when there are no delays).
     Array and scalar draws read the bit generator identically, so
-    every delay equals a one-at-a-time draw.  Any other draw, such as a
-    source's jitter through :meth:`uniform`, settles the stream first:
-    a block that still holds values is given back by restoring the
-    generator state from before it and redrawing only the values
-    taken, which leaves the generator where one-at-a-time draws would
-    have left it.
+    every delay equals a one-at-a-time draw.
 
-    A block starts at ``_BLOCK_MIN`` draws and doubles at each refill
-    up to ``_BLOCK_MAX``; a settle restarts it at the number of draws
-    taken since the previous settle, so a node that settles at a steady
-    pace rarely draws values it then gives back.
+    Every other draw from the node's generator must go through
+    :meth:`settle`, as the source's jitter does through
+    :meth:`uniform`.  A block that still holds values is given back:
+    the generator state from before it is restored and only the values
+    taken are drawn again, which leaves the generator where
+    one-at-a-time draws would have left it.
     """
 
-    __slots__ = ("rng", "block", "pos", "_draw", "_state", "_length",
-                 "_taken")
+    __slots__ = ("_rng", "_draw", "_state", "block", "pos")
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
+    def __init__(self, rng: np.random.Generator, draw):
+        self._rng = rng
+        self._draw = draw
+        self._state = None  # generator state from before ``block``
         self.block = array("q")  # delays in us; -1 marks a rejected draw
         self.pos = 0  # draws taken from ``block``
-        self._draw = None  # the law that drew ``block``
-        self._state = None  # generator state from before ``block``
-        self._length = _BLOCK_MIN
-        self._taken = 0  # draws taken from earlier blocks since a settle
 
-    def refill(self, draw) -> array:
-        """Replace the spent block with ``draw(rng, length)``."""
-        self._taken += len(self.block)
-        self._draw = draw
-        self._state = self.rng.bit_generator.state
-        self.block = draw(self.rng, self._length)
+    def refill(self) -> array:
+        """Replace the spent block with the next ``_BLOCK`` draws."""
+        self._state = self._rng.bit_generator.state
+        self.block = self._draw(self._rng, _BLOCK)
         self.pos = 0
-        self._length = min(2 * self._length, _BLOCK_MAX)
         return self.block
 
     def settle(self) -> np.random.Generator:
@@ -175,14 +167,11 @@ class NodeStream:
         delays taken so far would have left it."""
         taken = self.pos
         if taken < len(self.block):
-            self.rng.bit_generator.state = self._state
-            self._draw(self.rng, taken)
-        self._length = min(max(self._taken + taken, _BLOCK_MIN),
-                           _BLOCK_MAX)
-        self._taken = 0
+            self._rng.bit_generator.state = self._state
+            self._draw(self._rng, taken)
         self.block = array("q")
         self.pos = 0
-        return self.rng
+        return self._rng
 
     def uniform(self, low: float, high: float) -> float:
         """One ``Generator.uniform`` draw, made after settling."""
@@ -231,13 +220,14 @@ class LatencyModel:
         return array("q", us.tobytes())
 
     def sample_us(self, stream: NodeStream) -> int:
-        """The next delay in microseconds from a node's stream."""
+        """The next delay in microseconds from a node's stream, which
+        draws with this law."""
         if self.dist == "none":
             return 0
         block, pos = stream.block, stream.pos
         while True:
             if pos == len(block):
-                block, pos = stream.refill(self.draw_us), 0
+                block, pos = stream.refill(), 0
             value = block[pos]
             pos += 1
             if value >= 0:
@@ -308,7 +298,8 @@ class Engine:
         # One random stream per node, split from the run seed; node i
         # always consumes stream i regardless of instrumentation.
         root = np.random.SeedSequence(seed)
-        self.rngs = [NodeStream(np.random.default_rng(s))
+        draw = None if latency.is_zero else latency.draw_us
+        self.rngs = [NodeStream(np.random.default_rng(s), draw)
                      for s in root.spawn(n)]
 
         self.replicas: list = [None] * n

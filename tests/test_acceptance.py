@@ -290,8 +290,8 @@ def test_seeded_rerun_is_byte_identical():
 def test_latency_sampler_oracles():
     mean_s = 0.05
     for dist in ("uniform", "normal", "exponential"):
-        stream = NodeStream(np.random.default_rng(2026))
         model = LatencyModel(dist, mean_s)
+        stream = NodeStream(np.random.default_rng(2026), model.draw_us)
         draws = np.array([model.sample_us(stream) for _ in range(100_000)])
         mean_us = mean_s * US_PER_S
         assert abs(draws.mean() - mean_us) <= 0.02 * mean_us, dist
