@@ -12,9 +12,13 @@ be refetched from at least one live node.
 
 Each slot moves along one chain: pre-prepared with verified content,
 prepared, committed.  ``Replica._advance`` is the one place a slot
-moves through these rounds; every handler that changes a slot's votes
-or content ends by calling it.  Only live slots (``open_seqs``) of the
-current view vote.  A committed block joins the ledger in height
+moves through these rounds; every handler that changes a slot's
+content ends by calling it.  A PREPARE or COMMIT vote, most of the
+traffic, is counted in ``on_message`` itself, and calls ``_advance``
+only when it could act: our PREPARE is unsent on a pre-prepared slot,
+or the slot has the prepare quorum and has not sent our COMMIT, or has
+sent it and has the commit quorum.  Only live slots (``open_seqs``) of
+the current view vote.  A committed block joins the ledger in height
 order, stamped with the time it joined (``Entry.appended_us``); the
 replica records when, and ``metrics`` bins the stamps into minutes.
 
@@ -73,6 +77,7 @@ _ZERO_DIGEST = bytes(32)
 # node has an outstanding view-change vote.
 _VIEW_BOUND = frozenset({MsgKind.PRE_PREPARE, MsgKind.PREPARE,
                          MsgKind.COMMIT, MsgKind.RETRY_REQUEST})
+_VOTES = frozenset({MsgKind.PREPARE, MsgKind.COMMIT})
 _COMMIT = MsgKind.COMMIT  # enum member lookups are slow; every vote tests it
 
 # Sequence window: how many announced-but-uncommitted slots the
@@ -162,8 +167,6 @@ class Replica:
             MsgKind.TX_BROADCAST: self._on_tx,
             MsgKind.CLIENT_REQUEST: self._on_relay,
             MsgKind.PRE_PREPARE: self._on_pre_prepare,
-            MsgKind.PREPARE: self._on_vote,
-            MsgKind.COMMIT: self._on_vote,
             MsgKind.RETRY_REQUEST: self._on_retry_request,
             MsgKind.VIEW_CHANGE: self._on_view_change,
             MsgKind.NEW_VIEW: self._on_new_view,
@@ -223,16 +226,52 @@ class Replica:
             self._on_vc_timer(now_us)
 
     def on_message(self, msg: Message, now_us: int) -> None:
-        # A protocol message from a view ahead of ours is proof that a
-        # quorum moved on; catch up before processing it.
-        if msg.view > self.view and msg.kind in _VIEW_BOUND:
-            self._adopt_view(msg.view, now_us)
-        # While our view-change vote is outstanding we stop taking
-        # part in rounds of the view we are abandoning.
-        if (self.vc_target is not None and msg.kind in _VIEW_BOUND
-                and msg.view <= self.view):
+        kind = msg.kind
+        if kind not in _VIEW_BOUND:
+            self._handlers[kind](msg, now_us)
             return
-        self._handlers[msg.kind](msg, now_us)
+        view = msg.view
+        if view > self.view:
+            # A protocol message from a view ahead of ours is proof
+            # that a quorum moved on; catch up before processing it.
+            self._adopt_view(view, now_us)
+        elif self.vc_target is not None:
+            # While our view-change vote is outstanding we stop taking
+            # part in rounds of the view we are abandoning.
+            return
+        if kind not in _VOTES:
+            self._handlers[kind](msg, now_us)
+            return
+        # A PREPARE or COMMIT vote, handled here: votes are most of the
+        # traffic, and most of them cannot move their slot.
+        if view < self.view:
+            return
+        entry = self.entries.get(msg.seq)
+        if entry is not None and entry.committed:
+            return  # its block committed; the vote changes nothing
+        if entry is None or entry.view != view or entry.digest != msg.digest:
+            # A new slot, one holding only relays (digest None, which no
+            # vote carries), a rebind or a conflict.
+            entry = self._get_or_create(msg, now_us)
+            if entry is None or view < entry.view:
+                return
+        prepares = entry.prepares
+        votes = entry.commits if kind == _COMMIT else prepares
+        sender = msg.sender
+        if sender in votes:
+            self.duplicates += 1
+            return
+        votes.add(sender)
+        # A commit vote implies the sender prepared; count it there
+        # too so a round of mostly already-committed peers can still
+        # reach the prepare quorum.
+        prepares.add(sender)
+        # ``_advance`` acts only under one of these three conditions, so
+        # a vote that meets none of them leaves the slot where it is.
+        if ((entry.pre_prepared and self.node not in prepares)
+                or (len(entry.commits) >= self.commit_q if entry.sent_commit
+                    else len(prepares) >= self.prepare_q)):
+            self._advance(entry, now_us)
 
     # ------------------------------------------------------ transactions
 
@@ -385,28 +424,6 @@ class Replica:
         if msg.seq >= self.next_seq:
             self.next_seq = msg.seq + 1
         self._arm_vc(now_us)
-
-    def _on_vote(self, msg: Message, now_us: int) -> None:
-        if msg.view < self.view:
-            return
-        # A vote that arrives after its block committed changes
-        # nothing; drop it before the lookup-or-create.
-        entry = self.entries.get(msg.seq)
-        if entry is not None and entry.committed:
-            return
-        entry = self._get_or_create(msg, now_us)
-        if entry is None or msg.view < entry.view:
-            return
-        votes = entry.commits if msg.kind == _COMMIT else entry.prepares
-        if msg.sender in votes:
-            self.duplicates += 1
-            return
-        votes.add(msg.sender)
-        # A commit vote implies the sender prepared; count it there
-        # too so a round of mostly already-committed peers can still
-        # reach the prepare quorum.
-        entry.prepares.add(msg.sender)
-        self._advance(entry, now_us)
 
     def _advance(self, entry: Entry, now_us: int) -> None:
         """Move the slot as far as its votes allow: our PREPARE once it

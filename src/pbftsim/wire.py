@@ -126,6 +126,11 @@ _BROADCAST_LO = _U32_MAX
 
 _ZERO_SIG = bytes(SIGNATURE_SIZE)
 
+# Frame sizes with the header: a digest frame, and a transaction frame
+# before its payload.
+_DIGEST_FRAME_SIZE = HEADER_SIZE + FIXED_FIELDS_SIZE + DIGEST_SIZE
+_TX_FRAME_BASE = HEADER_SIZE + FIXED_FIELDS_SIZE
+
 
 def fault_tolerance(n: int) -> int:
     """Largest f such that n replicas tolerate f byzantine faults."""
@@ -210,10 +215,15 @@ class Message:
     size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        # ``frame_size`` spelt out: every message built pays for this.
+        tx = self.tx
+        if tx is None:
+            self.size = _DIGEST_FRAME_SIZE
+            return
         # The client request field identifies the carried transaction.
-        if self.tx is not None and self.client_request == 0:
-            self.client_request = (self.tx.origin << 32) | self.tx.counter
-        self.size = frame_size(self)
+        if self.client_request == 0:
+            self.client_request = (tx.origin << 32) | tx.counter
+        self.size = _TX_FRAME_BASE + tx.payload_size
 
 
 def wire_size(msg: Message) -> int:

@@ -86,6 +86,65 @@ def test_simultaneous_events_fire_in_scheduling_order():
     assert kinds == [TimerKind.RETRY, TimerKind.VIEW_CHANGE, TimerKind.RETRY]
 
 
+class ScriptedDelays:
+    """Latency stand-in: hands out the given delays in order, then 0."""
+
+    is_zero = False
+
+    def __init__(self, delays_us):
+        self._delays = iter(delays_us)
+
+    def draw_us(self, rng, count):
+        raise AssertionError("scripted delays are not drawn in blocks")
+
+    def sample_us(self, stream):
+        return next(self._delays, 0)
+
+
+class AnswerFirst(Recorder):
+    """On its first message, arms a timer for now and broadcasts."""
+
+    def __init__(self, engine, node):
+        super().__init__()
+        self.engine = engine
+        self.node = node
+
+    def on_message(self, msg, now_us):
+        super().on_message(msg, now_us)
+        if len(self.messages) == 1:
+            self.engine.schedule_timer(self.node, TimerKind.RETRY, now_us)
+            self.engine.broadcast(self.node, prepare_msg(
+                sender=self.node, recipient=None, seq=3))
+
+
+def test_same_time_events_keep_scheduling_order_around_service_starts():
+    # Zero processing cost: the first service takes a scripted 500 us,
+    # so the second message queues and then starts service in the same
+    # microsecond as the timer and the send its predecessor scheduled.
+    eng = Engine(3, profile(cost=0.0), ScriptedDelays([500, 0, 300]), 0,
+                 trace=True, keep_trace_lines=True)
+    for node in range(3):
+        eng.attach_replica(node, AnswerFirst(eng, node))
+    eng.send(0, 1, prepare_msg(sender=0, recipient=1, seq=1))
+    eng.send(0, 1, prepare_msg(sender=0, recipient=1, seq=2))
+    # A 154-byte frame serialises in 124 us at 10 Mbps.
+    eng.run(748 / US_PER_S)
+    events = [line.split() for line in eng.trace_lines()]
+    assert [(int(e[0]), e[1], int(e[2]), e[-1]) for e in events] == [
+        (124, "arrival", 1, "1"),
+        (248, "arrival", 1, "2"),  # the processor is busy: it queues
+        (624, "service", 1, "1"),  # schedules the timer, then sends
+        (624, "timer", 1, str(int(TimerKind.RETRY))),
+        (624, "service", 1, "2"),  # took the processor after both
+        (748, "arrival", 0, "3"),
+    ]
+    # Every executed event has left the heap; what is pending stays.
+    pending = sorted((at, tag, node) for at, _, tag, node, _ in eng._heap)
+    assert pending == [(872, 1, 2), (1048, 2, 0)]  # an arrival, a service
+    assert eng.pending_arrivals() == 1
+    assert all(eng._heap[0] <= ev for ev in eng._heap)
+
+
 def test_scheduling_into_the_past_rejected():
     eng, _ = make_engine(n=1)
     eng.schedule_timer(0, TimerKind.RETRY, 100)

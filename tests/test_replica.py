@@ -644,3 +644,87 @@ class TestEquivocation:
         heads = engine.of_kind(MsgKind.PRE_PREPARE)
         digests = {m.digest for m in heads}
         assert len(digests) == 1
+
+
+# ------------------------------------------------- vote path, differential
+
+_VIEW_BOUND = {MsgKind.PRE_PREPARE, MsgKind.PREPARE, MsgKind.COMMIT,
+               MsgKind.RETRY_REQUEST}
+
+
+class EveryVoteAdvances:
+    """``on_message`` with no vote fast path: every PREPARE and COMMIT
+    goes through ``_get_or_create`` and then ``_advance``."""
+
+    def on_message(self, msg, now_us):
+        if msg.view > self.view and msg.kind in _VIEW_BOUND:
+            self._adopt_view(msg.view, now_us)
+        if (self.vc_target is not None and msg.kind in _VIEW_BOUND
+                and msg.view <= self.view):
+            return
+        if msg.kind not in (MsgKind.PREPARE, MsgKind.COMMIT):
+            self._handlers[msg.kind](msg, now_us)
+            return
+        if msg.view < self.view:
+            return
+        entry = self.entries.get(msg.seq)
+        if entry is not None and entry.committed:
+            return
+        entry = self._get_or_create(msg, now_us)
+        if entry is None or msg.view < entry.view:
+            return
+        votes = (entry.commits if msg.kind == MsgKind.COMMIT
+                 else entry.prepares)
+        if msg.sender in votes:
+            self.duplicates += 1
+            return
+        votes.add(msg.sender)
+        entry.prepares.add(msg.sender)
+        self._advance(entry, now_us)
+
+
+class AdvancingReplica(EveryVoteAdvances, Replica):
+    pass
+
+
+class AdvancingEquivocator(EveryVoteAdvances, EquivocatingReplica):
+    pass
+
+
+# Small cells that reach every way a vote moves a slot: quorums at
+# n = 4 and 10, view changes that rebind slots, conflicting digests,
+# and drops, retries and view changes under 1200-byte buffers.
+VOTE_CELLS = {
+    "n4": ScenarioConfig(nodes=4, block_size=2, generation_period_s=1.0,
+                         device_profile="mcu32", duration_s=120, seed=2),
+    "n10": ScenarioConfig(nodes=10, block_size=4, generation_period_s=2.0,
+                          device_profile="mcu32", latency_dist="uniform",
+                          latency_mean_s=0.01, duration_s=60, seed=3),
+    "primary-crash": ScenarioConfig(
+        nodes=7, block_size=5, generation_period_s=1.0,
+        device_profile="mcu32", latency_dist="exponential",
+        latency_mean_s=0.02, duration_s=240, crashes=((0, 40.0),), seed=1),
+    "equivocator": ScenarioConfig(
+        nodes=7, block_size=3, generation_period_s=2.0,
+        device_profile="mcu32", latency_dist="normal", latency_mean_s=0.05,
+        duration_s=120, equivocators=(0,), seed=9),
+    "buffer-1200": ScenarioConfig(
+        nodes=7, block_size=3, generation_period_s=0.3,
+        device_profile="implant", buffer_capacity_bytes=1200,
+        duration_s=120, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VOTE_CELLS))
+def test_vote_fast_path_matches_advancing_every_vote(name, monkeypatch):
+    from pbftsim import scenario
+    from pbftsim.metrics import render_report
+
+    config = VOTE_CELLS[name]
+    fast = scenario.run_scenario(config, trace=True)
+    monkeypatch.setattr(scenario, "Replica", AdvancingReplica)
+    monkeypatch.setattr(scenario, "EquivocatingReplica", AdvancingEquivocator)
+    slow = scenario.run_scenario(config, trace=True)
+    assert isinstance(slow.replicas[-1], EveryVoteAdvances)
+    assert fast.trace_hash == slow.trace_hash
+    assert render_report(fast.report) == render_report(slow.report)

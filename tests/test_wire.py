@@ -135,6 +135,26 @@ def test_frame_adds_two_header_bytes():
     assert HEADER_SIZE == 2
 
 
+TX_CARRIERS = {MsgKind.TX_BROADCAST, MsgKind.CLIENT_REQUEST}
+
+
+@pytest.mark.parametrize("payload", [16, 1000])
+@pytest.mark.parametrize("carries_tx", [True, False],
+                         ids=["transaction", "digest"])
+@pytest.mark.parametrize("kind", list(MsgKind), ids=lambda k: k.name)
+def test_cached_size_is_the_frame_size(kind, carries_tx, payload):
+    if carries_tx:
+        msg = make_tx_msg(payload_size=payload, kind=kind)
+    else:
+        msg = make_protocol_msg(kind=kind)
+    assert msg.size == frame_size(msg)
+    if carries_tx == (kind in TX_CARRIERS):
+        assert msg.size == len(encode(msg))
+    else:
+        with pytest.raises(EncodeError):
+            encode(msg)
+
+
 # ------------------------------------------------------------- goldens
 
 def golden_entries():

@@ -15,6 +15,13 @@ report.  For each workload the script records
     every such ``__init__`` into one);
   * the min and median wall time of five plain runs in this process.
 
+A last record, ``engine-only``, times the event loop alone: the
+engine on the implant profile at 30 nodes, with stub replicas that
+answer each message they are served with ``ENGINE_FANOUT`` copies to
+the next nodes, started by one broadcast from every node.  It counts
+the same things, so that a change's saving can be split between the
+run loop and the replicas.
+
 It appends one record per workload to the JSON list in ``out``,
 naming the checkout's git commit, whether its tracked files had
 uncommitted changes, and a digest of ``src/pbftsim``, so that records
@@ -44,10 +51,17 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import srcpath  # noqa: E402,F401  (puts src/ first on the import path)
-from pbftsim import metrics, scenario, sweeps  # noqa: E402
+from pbftsim import metrics, netsim, scenario, sweeps  # noqa: E402
+from pbftsim.wire import Message, MsgKind  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
 
 REPS = 5
+
+# The engine-only case: about as many events as one implant-30 run.
+ENGINE_NODES = 30
+ENGINE_FANOUT = 1
+ENGINE_SECONDS = 120
+ENGINE_SEED = 0
 
 
 def run_once(wl) -> int:
@@ -77,6 +91,38 @@ def run_once(wl) -> int:
     return events
 
 
+class Echo:
+    """Stub replica: answers each message with ``ENGINE_FANOUT`` copies
+    of it, to the next nodes in id order."""
+
+    def __init__(self, engine, node: int):
+        self.engine = engine
+        self.node = node
+        self.peers = [(node + k) % engine.n
+                      for k in range(1, ENGINE_FANOUT + 1)]
+
+    def on_message(self, msg, now_us: int) -> None:
+        for dst in self.peers:
+            self.engine.send(self.node, dst, msg)
+
+    def on_timer(self, kind, now_us: int) -> None:
+        pass
+
+
+def run_engine_only() -> int:
+    """Run the engine with ``Echo`` replicas; returns the events
+    executed."""
+    engine = netsim.Engine(ENGINE_NODES, netsim.PROFILES["implant"],
+                           netsim.LatencyModel(), ENGINE_SEED)
+    for node in range(ENGINE_NODES):
+        engine.attach_replica(node, Echo(engine, node))
+    for node in range(ENGINE_NODES):
+        engine.broadcast(node, Message(
+            kind=MsgKind.PREPARE, sender=node, recipient=None, view=0,
+            seq=1, digest=bytes(32)))
+    return engine.run(ENGINE_SECONDS)
+
+
 def git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -91,21 +137,22 @@ def src_digest() -> str:
     return h.hexdigest()
 
 
-def measure(wl) -> dict:
+def measure(name: str, seed: int, run) -> dict:
+    """Count and time ``run()``, which returns the events it executed."""
     profiler = cProfile.Profile()
     profiler.enable()
-    events = run_once(wl)
+    events = run()
     profiler.disable()
     calls = sum(entry.callcount for entry in profiler.getstats())
     walls = []
     for _ in range(REPS):
         start = time.perf_counter()
-        if run_once(wl) != events:
-            sys.exit(f"{wl.name}: event count changed between runs")
+        if run() != events:
+            sys.exit(f"{name}: event count changed between runs")
         walls.append(time.perf_counter() - start)
     return {
-        "workload": wl.name,
-        "seed": wl.default_seed,
+        "workload": name,
+        "seed": seed,
         "events": events,
         "calls": calls,
         "calls_per_event": round(calls / events, 4),
@@ -128,8 +175,11 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
     }
     log = json.loads(args.out.read_text()) if args.out.exists() else []
-    for wl in WORKLOADS.values():
-        record = dict(stamp, **measure(wl))
+    cases = [(wl.name, wl.default_seed, lambda wl=wl: run_once(wl))
+             for wl in WORKLOADS.values()]
+    cases.append(("engine-only", ENGINE_SEED, run_engine_only))
+    for name, seed, run in cases:
+        record = dict(stamp, **measure(name, seed, run))
         print(json.dumps(record), file=sys.stderr)
         log.append(record)
         args.out.write_text(json.dumps(log, indent=1) + "\n")
