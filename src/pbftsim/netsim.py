@@ -398,11 +398,8 @@ class Engine:
         when the node's processor takes a message, in the one
         start-of-service block at the bottom of the loop.
 
-        Each event stays on top of the heap while it runs: everything
-        it schedules sorts after it by ``(at_us, seqno)``.  It leaves
-        by ``heappop``, or, when the node's processor takes a message,
-        by ``heapreplace`` with the service completion: one sift
-        instead of a pop and a push.
+        Each event stays on top of the heap while it runs (see the
+        module docstring), and every exit from the loop body removes it.
         """
         until_us = to_us(until_s)
         heap = self._heap

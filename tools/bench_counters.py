@@ -105,9 +105,6 @@ class Echo:
         for dst in self.peers:
             self.engine.send(self.node, dst, msg)
 
-    def on_timer(self, kind, now_us: int) -> None:
-        pass
-
 
 def run_engine_only() -> int:
     """Run the engine with ``Echo`` replicas; returns the events
