@@ -79,13 +79,15 @@ def finalize(engine, duration_s: float, config_echo: dict) -> MetricsReport:
     obs = replicas[observer]
     duration_us = duration_s * 1_000_000
     retries = sum(r.retries for r in replicas)
+    ledger_txs = [sum(len(r.entries[height].tx_ids) for height in r.ledger)
+                  for r in replicas]
 
     summary: dict[str, str] = {"version": REPORT_VERSION}
     for key, value in config_echo.items():
         summary[key] = _fmt(value)
     summary["observer"] = str(observer)
     summary["committed_blocks"] = str(len(obs.ledger))
-    summary["committed_txs"] = str(obs.committed_txs)
+    summary["committed_txs"] = str(ledger_txs[observer])
     summary["view_changes"] = str(obs.view_adoptions)
     summary["retries_total"] = str(retries)
     summary["avg_retries"] = _fmt(retries / n)
@@ -113,7 +115,7 @@ def finalize(engine, duration_s: float, config_echo: dict) -> MetricsReport:
             "cpu_busy_s": engine.busy_cpu_us[node] / 1_000_000,
             "nic_busy_s": engine.busy_nic_us[node] / 1_000_000,
             "blocks": len(r.ledger),
-            "txs": r.committed_txs,
+            "txs": ledger_txs[node],
             "retries": r.retries,
             "drops": engine.dropped[node],
             "duplicates": r.duplicates,

@@ -46,11 +46,14 @@ other draw from the node's generator (a source's jitter) the stream
 rewinds: it restores the generator state saved before the block and
 redraws only the delays taken.  Every delay, every jitter value and
 the generator's state are therefore those of one-at-a-time draws.
+
+The event trace goes to one optional sink with ``update(bytes)``, such
+as ``hashlib.sha256()``: one line per executed event, ``"<time_us>
+<event> <node> <detail>\n"``.  Without a sink the loop makes no call.
 """
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -269,19 +272,17 @@ class Engine:
     and ``on_timer`` callbacks; transaction sources receive
     ``next_tx``.  All callbacks run at integer-microsecond times and
     may call :meth:`send`, :meth:`broadcast` and
-    :meth:`schedule_timer`.
+    :meth:`schedule_timer`.  ``trace`` is the optional trace sink; it
+    gets ``update(line)`` per executed event and never alters the run.
     """
 
     def __init__(self, n: int, profile: DeviceProfile,
                  latency: LatencyModel, seed: int,
-                 buffer_capacity: int | None = None,
-                 trace: bool = False, keep_trace_lines: bool = False):
+                 buffer_capacity: int | None = None, trace=None):
         if n < 1:
             raise ValueError("need at least one node")
         self.n = n
         self.profile = profile
-        self.latency = latency
-        self.seed = seed
         self.now_us = 0
 
         self.buffer_capacity = (
@@ -324,9 +325,7 @@ class Engine:
         self.busy_nic_us = [0] * n
         self.events_executed = 0
 
-        self._trace_hash = hashlib.sha256() if trace else None
-        self._trace_lines: list[str] | None = (
-            [] if trace and keep_trace_lines else None)
+        self._sink = trace
 
     # ------------------------------------------------------------ wiring
 
@@ -338,8 +337,6 @@ class Engine:
         self._push(to_us(first_at_s), _EV_GENERATE, node, None)
 
     def schedule_timer(self, node: int, kind: TimerKind, at_us: int) -> None:
-        if at_us < self.now_us:
-            raise ValueError("cannot schedule a timer in the past")
         self._push(at_us, _EV_TIMER, node, kind)
 
     def schedule_crash(self, node: int, at_s: float) -> None:
@@ -403,7 +400,7 @@ class Engine:
         """
         until_us = to_us(until_s)
         heap = self._heap
-        trace = self._trace if self._trace_hash is not None else None
+        trace = self._trace if self._sink is not None else None
         capacity = self.buffer_capacity
         used = self.buffer_used
         crashed = self.crashed
@@ -506,17 +503,4 @@ class Engine:
             detail = f"0 {int(payload)}"
         else:
             detail = "0 -"
-        line = f"{at} {_EV_NAMES[tag]} {node} {detail}\n"
-        self._trace_hash.update(line.encode())
-        if self._trace_lines is not None:
-            self._trace_lines.append(line)
-
-    def trace_hash(self) -> str:
-        if self._trace_hash is None:
-            raise RuntimeError("tracing was not enabled for this run")
-        return self._trace_hash.hexdigest()
-
-    def trace_lines(self) -> list[str]:
-        if self._trace_lines is None:
-            raise RuntimeError("tracing was not enabled for this run")
-        return self._trace_lines
+        self._sink.update(f"{at} {_EV_NAMES[tag]} {node} {detail}\n".encode())

@@ -161,7 +161,6 @@ class Replica:
         self.retries = 0
         self.duplicates = 0
         self.view_adoptions = 0
-        self.committed_txs = 0
 
         self._handlers = {
             MsgKind.TX_BROADCAST: self._on_tx,
@@ -334,13 +333,10 @@ class Replica:
     def _send_content(self, entry: Entry, dst: int | None,
                       positions) -> None:
         for pos in positions:
-            tx = entry.content.get(pos)
-            if tx is None:
-                continue
             self._emit(Message(kind=MsgKind.CLIENT_REQUEST, sender=self.node,
                                recipient=dst, view=self.view, seq=entry.seq,
-                               tx=tx, block_ref=entry.block_ref,
-                               timestamp=pos))
+                               tx=entry.content[pos],
+                               block_ref=entry.block_ref, timestamp=pos))
 
     # ----------------------------------------------------- block content
 
@@ -472,7 +468,6 @@ class Replica:
                 break
             self.ledger.append(height)
             entry.appended_us = now_us
-            self.committed_txs += len(entry.tx_ids)
             height += 1
 
     # ------------------------------------------------------------ retries

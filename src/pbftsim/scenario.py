@@ -11,6 +11,7 @@ duration, and returns the finalized report.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, get_args, get_type_hints
 
@@ -219,13 +220,14 @@ class RunResult:
 
 def run_scenario(config: ScenarioConfig, trace: bool = False) -> RunResult:
     config.validate()
+    sink = hashlib.sha256() if trace else None
     engine = Engine(
         config.nodes,
         config.profile(),
         config.latency(),
         config.seed,
         buffer_capacity=config.buffer_capacity_bytes,
-        trace=trace,
+        trace=sink,
     )
     replicas = []
     for node in range(config.nodes):
@@ -243,5 +245,5 @@ def run_scenario(config: ScenarioConfig, trace: bool = False) -> RunResult:
 
     engine.run(config.duration_s)
     report = finalize(engine, config.duration_s, config.echo())
-    trace_hash = engine.trace_hash() if trace else None
-    return RunResult(config, report, engine, replicas, trace_hash)
+    return RunResult(config, report, engine, replicas,
+                     sink.hexdigest() if trace else None)

@@ -13,7 +13,6 @@ class StubReplica:
         self.ledger = []
         self.entries = {}
         self.view = 0
-        self.committed_txs = 0
         self.retries = 0
         self.duplicates = 0
         self.view_adoptions = 0
@@ -25,7 +24,6 @@ class StubReplica:
             tx_ids=[(height, k) for k in range(n_txs)], committed=True,
             appended_us=now_us)
         self.ledger.append(height)
-        self.committed_txs += n_txs
 
 
 class FakeEngine:

@@ -1,6 +1,7 @@
 """Network simulator tests: event ordering, NIC serialisation,
 ingress buffers, latency samplers, crashes, determinism."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -41,6 +42,16 @@ class Recorder:
 
     def on_transaction(self, tx, now_us):
         self.txs.append((now_us, tx))
+
+
+class Lines:
+    """Trace sink that keeps each event line."""
+
+    def __init__(self):
+        self.lines = []
+
+    def update(self, data):
+        self.lines.append(data.decode())
 
 
 def make_engine(n=2, prof=None, latency=None, seed=0, **kw):
@@ -121,15 +132,16 @@ def test_same_time_events_keep_scheduling_order_around_service_starts():
     # Zero processing cost: the first service takes a scripted 500 us,
     # so the second message queues and then starts service in the same
     # microsecond as the timer and the send its predecessor scheduled.
+    lines = Lines()
     eng = Engine(3, profile(cost=0.0), ScriptedDelays([500, 0, 300]), 0,
-                 trace=True, keep_trace_lines=True)
+                 trace=lines)
     for node in range(3):
         eng.attach_replica(node, AnswerFirst(eng, node))
     eng.send(0, 1, prepare_msg(sender=0, recipient=1, seq=1))
     eng.send(0, 1, prepare_msg(sender=0, recipient=1, seq=2))
     # A 154-byte frame serialises in 124 us at 10 Mbps.
     eng.run(748 / US_PER_S)
-    events = [line.split() for line in eng.trace_lines()]
+    events = [line.split() for line in lines.lines]
     assert [(int(e[0]), e[1], int(e[2]), e[-1]) for e in events] == [
         (124, "arrival", 1, "1"),
         (248, "arrival", 1, "2"),  # the processor is busy: it queues
@@ -529,43 +541,48 @@ class TickSource:
                 now_us + self.period_us + jitter)
 
 
-def run_traced(seed):
+def run_traced(seed, sink=None):
+    """Run a small jittered network into ``sink`` (a SHA-256 by
+    default); returns the engine and the sink."""
+    sink = hashlib.sha256() if sink is None else sink
     eng = Engine(4, profile(cost=0.002), LatencyModel("normal", 0.003),
-                 seed, trace=True)
+                 seed, trace=sink)
     for i in range(4):
         eng.attach_replica(i, RoundRobinForwarder(i, eng))
         eng.attach_source(i, TickSource(i, 50_000), first_at_s=0.01)
     eng.run(2.0)
-    return eng
+    return eng, sink
 
 
 def test_same_seed_same_trace_hash():
-    a, b = run_traced(1234), run_traced(1234)
+    (a, hash_a), (b, hash_b) = run_traced(1234), run_traced(1234)
     assert a.events_executed == b.events_executed > 100
-    assert a.trace_hash() == b.trace_hash()
+    assert hash_a.hexdigest() == hash_b.hexdigest()
 
 
 def test_different_seed_different_trace_hash():
-    assert run_traced(1).trace_hash() != run_traced(2).trace_hash()
+    assert (run_traced(1)[1].hexdigest()
+            != run_traced(2)[1].hexdigest())
+
+
+def test_hash_sink_hashes_the_collected_lines():
+    eng, digest = run_traced(77)
+    _, lines = run_traced(77, Lines())
+    assert len(lines.lines) == eng.events_executed
+    joined = "".join(lines.lines).encode()
+    assert hashlib.sha256(joined).hexdigest() == digest.hexdigest()
 
 
 def test_trace_lines_record_events():
-    eng, _ = make_engine(trace=True, keep_trace_lines=True)
+    lines = Lines()
+    eng, _ = make_engine(trace=lines)
     eng.send(0, 1, prepare_msg())
     eng.schedule_timer(1, TimerKind.RETRY, to_us(0.5))
     eng.run(1.0)
-    lines = eng.trace_lines()
-    assert any(line.split()[1] == "arrival" for line in lines)
-    assert any(line.split()[1] == "timer" for line in lines)
-    times = [int(line.split()[0]) for line in lines]
+    assert any(line.split()[1] == "arrival" for line in lines.lines)
+    assert any(line.split()[1] == "timer" for line in lines.lines)
+    times = [int(line.split()[0]) for line in lines.lines]
     assert times == sorted(times)
-
-
-def test_trace_disabled_by_default():
-    eng, _ = make_engine()
-    eng.run(0.1)
-    with pytest.raises(RuntimeError):
-        eng.trace_hash()
 
 
 # ----------------------------------------------------------- conservation

@@ -158,6 +158,16 @@ class TestRun:
         assert render_report(a.report) == render_report(b.report)
         assert a.trace_hash == b.trace_hash
 
+    def test_tracing_does_not_change_the_run(self):
+        config = quick(seed=5, jitter=0.2, latency_dist="normal",
+                       latency_mean_s=0.01, crashes=((0, 30.0),))
+        plain = run_scenario(config)
+        traced = run_scenario(config, trace=True)
+        assert render_report(plain.report) == render_report(traced.report)
+        assert (plain.engine.events_executed
+                == traced.engine.events_executed)
+        assert plain.report.summary["view_changes"] != "0"
+
     def test_different_seed_changes_trace(self):
         a = run_scenario(quick(seed=5, jitter=0.2), trace=True)
         b = run_scenario(quick(seed=6, jitter=0.2), trace=True)
