@@ -79,8 +79,10 @@ def finalize(engine, duration_s: float, config_echo: dict) -> MetricsReport:
     obs = replicas[observer]
     duration_us = duration_s * 1_000_000
     retries = sum(r.retries for r in replicas)
-    ledger_txs = [sum(len(r.entries[height].tx_ids) for height in r.ledger)
-                  for r in replicas]
+    ledger_txs = [0] * n
+    for node, r in enumerate(replicas):
+        for height in r.ledger:
+            ledger_txs[node] += len(r.entries[height].tx_ids)
 
     summary: dict[str, str] = {"version": REPORT_VERSION}
     for key, value in config_echo.items():
