@@ -47,9 +47,9 @@ rewinds: it restores the generator state saved before the block and
 redraws only the delays taken.  Every delay, every jitter value and
 the generator's state are therefore those of one-at-a-time draws.
 
-The event trace goes to one optional sink with ``update(bytes)``, such
-as ``hashlib.sha256()``: one line per executed event, ``"<time_us>
-<event> <node> <detail>\n"``.  Without a sink the loop makes no call.
+The event trace goes to one optional sink with ``update(bytes)``,
+such as ``hashlib.sha256()``: one line per executed event.  Without a
+sink the loop makes no trace call.
 """
 
 from __future__ import annotations
