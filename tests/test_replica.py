@@ -5,6 +5,8 @@ be driven message by message; scenario-level behaviour (full runs) is
 covered in test_scenario.py.
 """
 
+from operator import attrgetter
+
 import pytest
 
 from pbftsim.netsim import TimerKind
@@ -730,3 +732,51 @@ def test_vote_fast_path_matches_advancing_every_vote(name, monkeypatch):
     assert all(isinstance(r, EveryVoteAdvances) for r in slow.replicas)
     assert fast.trace_hash == slow.trace_hash
     assert render_report(fast.report) == render_report(slow.report)
+
+
+# ---------------------------------------------- retry index, differential
+
+class ScanForOldest:
+    """The oldest live slot found by scanning ``open_seqs``, with no
+    age index."""
+
+    def _oldest_open(self):
+        return min(map(self.entries.__getitem__, self.open_seqs),
+                   key=attrgetter("created_us", "seq"), default=None)
+
+
+class ScanningReplica(ScanForOldest, Replica):
+    pass
+
+
+class ScanningEquivocator(ScanForOldest, EquivocatingReplica):
+    pass
+
+
+# The vote cells with crashes, an equivocator and tiny buffers, and a
+# cell whose new primaries refill hole seqs with new entries, so the
+# index holds pairs of replaced slots.
+RETRY_CELLS = {
+    **{name: VOTE_CELLS[name]
+       for name in ("primary-crash", "equivocator", "buffer-1200")},
+    "hole-refill": ScenarioConfig(
+        nodes=10, block_size=3, generation_period_s=0.5,
+        device_profile="mcu8", buffer_capacity_bytes=4000, duration_s=120,
+        retry_period_s=1.0, view_change_timeout_s=10.0,
+        crashes=((0, 30.0), (1, 70.0)), seed=22),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETRY_CELLS))
+def test_retry_index_matches_scanning_open_slots(name, monkeypatch):
+    from pbftsim import scenario
+    from pbftsim.metrics import render_report
+
+    config = RETRY_CELLS[name]
+    indexed = scenario.run_scenario(config, trace=True)
+    monkeypatch.setattr(scenario, "Replica", ScanningReplica)
+    monkeypatch.setattr(scenario, "EquivocatingReplica", ScanningEquivocator)
+    scanned = scenario.run_scenario(config, trace=True)
+    assert all(isinstance(r, ScanForOldest) for r in scanned.replicas)
+    assert indexed.trace_hash == scanned.trace_hash
+    assert render_report(indexed.report) == render_report(scanned.report)
