@@ -39,10 +39,14 @@ replica per callback; ``next_tx`` per transaction and
 payload)`` tuples with ``_EV_ARRIVAL`` marking frames in flight.
 
 Each node draws its random numbers from its own ``NodeStream``.  The
-stream draws processing delays from numpy a block at a time, one
-array call per block of ``_BLOCK`` rather than one call per delay,
-while ``sample_us`` still hands out one delay per call.  Before any
-other draw from the node's generator (a source's jitter) the stream
+stream builds its numpy generator on its first draw, so a run that
+draws nothing (no delay law, no jitter) builds none and never imports
+numpy; node i's generator is seeded from ``SeedSequence(seed,
+spawn_key=(i,))``, the i-th child of ``SeedSequence(seed).spawn(n)``.
+The stream draws processing delays a block at a time, one array call
+per block of ``_BLOCK`` rather than one call per delay, while
+``sample_us`` still hands out one delay per call.  Before any other
+draw from the node's generator (a source's jitter) the stream
 rewinds: it restores the generator state saved before the block and
 redraws only the delays taken.  Every delay, every jitter value and
 the generator's state are therefore those of one-at-a-time draws.
@@ -59,10 +63,12 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from heapq import heappop, heappush, heapreplace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .wire import Message
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "US_PER_S",
@@ -138,6 +144,10 @@ _BLOCK = 256
 class NodeStream:
     """One node's random stream: its generator, and delays drawn ahead.
 
+    The generator is ``rng``, or, when ``rng`` is None, built on the
+    first draw from ``SeedSequence(seed, spawn_key=(node,))``; until
+    then ``built`` is false and numpy need not be imported.
+
     ``LatencyModel.sample_us`` takes the node's delays from ``block``
     one at a time and refills it, when spent, with one array draw of
     ``_BLOCK`` values by ``draw``, the engine's law
@@ -153,32 +163,50 @@ class NodeStream:
     one-at-a-time draws would have left it.
     """
 
-    __slots__ = ("_rng", "_draw", "_state", "block", "pos")
+    __slots__ = ("_rng", "_draw", "_seed", "_node", "_state", "block", "pos")
 
-    def __init__(self, rng: np.random.Generator, draw):
+    def __init__(self, rng: np.random.Generator | None, draw,
+                 seed: int = 0, node: int = 0):
         self._rng = rng
         self._draw = draw
+        self._seed = seed
+        self._node = node
         self._state = None  # generator state from before ``block``
         self.block = array("q")  # delays in us; -1 marks a rejected draw
         self.pos = 0  # draws taken from ``block``
 
+    @property
+    def built(self) -> bool:
+        """Whether the stream has a generator: given, or built by a draw."""
+        return self._rng is not None
+
+    def _generator(self) -> np.random.Generator:
+        rng = self._rng
+        if rng is None:
+            from numpy.random import SeedSequence, default_rng
+            rng = self._rng = default_rng(
+                SeedSequence(self._seed, spawn_key=(self._node,)))
+        return rng
+
     def refill(self) -> array:
         """Replace the spent block with the next ``_BLOCK`` draws."""
-        self._state = self._rng.bit_generator.state
-        self.block = self._draw(self._rng, _BLOCK)
+        rng = self._generator()
+        self._state = rng.bit_generator.state
+        self.block = self._draw(rng, _BLOCK)
         self.pos = 0
         return self.block
 
     def settle(self) -> np.random.Generator:
         """The generator, standing where one-at-a-time draws of the
         delays taken so far would have left it."""
+        rng = self._generator()
         taken = self.pos
         if taken < len(self.block):
-            self._rng.bit_generator.state = self._state
-            self._draw(self._rng, taken)
+            rng.bit_generator.state = self._state
+            self._draw(rng, taken)
         self.block = array("q")
         self.pos = 0
-        return self._rng
+        return rng
 
     def uniform(self, low: float, high: float) -> float:
         """One ``Generator.uniform`` draw, made after settling."""
@@ -214,6 +242,8 @@ class LatencyModel:
         """``count`` draws of the law in whole microseconds, rounded
         half to even like ``round``; a normal draw below zero, which
         the law rejects and draws again, reads -1."""
+        import numpy as np
+
         mean = self.mean_s
         if self.dist == "uniform":
             values = rng.uniform(0.0, 2.0 * mean, count)
@@ -301,11 +331,11 @@ class Engine:
         self._ser_us: dict[int, int] = {}
 
         # One random stream per node, split from the run seed; node i
-        # always consumes stream i regardless of instrumentation.
-        root = np.random.SeedSequence(seed)
+        # always consumes stream i regardless of instrumentation.  A
+        # stream builds its generator only when the node first draws.
         draw = None if latency.is_zero else latency.draw_us
-        self.rngs = [NodeStream(np.random.default_rng(s), draw)
-                     for s in root.spawn(n)]
+        self.rngs = [NodeStream(None, draw, seed, node)
+                     for node in range(n)]
 
         self.replicas: list = [None] * n
         self.sources: list = [None] * n

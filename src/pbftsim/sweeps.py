@@ -6,7 +6,10 @@ per point.  Per-run seeds derive from the master seed, the primary
 axis index and the repetition counter, so the whole sweep is
 reproducible from a single integer and reruns emit byte-identical
 CSV.  Two-axis sweeps share seeds across the second axis: runs that
-differ only in the second-axis value see identical workloads.
+differ only in the second-axis value see identical workloads.  A
+point whose first run draws no random number (no jitter, no delay
+law) runs once: its seed reached no event, so each other repetition
+reuses that run's report and trace hash under its own seed.
 
 Presets are sweep definition files shipped with the package, one per
 packaged experiment; ``load_preset`` resolves them by name.
@@ -17,8 +20,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from importlib import resources
-
-import numpy as np
 
 from .metrics import MetricsReport
 from .scenario import (CONFIG_KEYS, ScenarioConfig, format_value,
@@ -167,6 +168,8 @@ class SweepResult:
         return out
 
     def mean_total(self, value, value2=None) -> float:
+        import numpy as np
+
         return float(np.mean(self.totals()[(value, value2)]))
 
 
@@ -190,7 +193,15 @@ def run_sweep(spec: SweepSpec, trace: bool = False) -> SweepResult:
                 plan.append((value, value2, rep, config))
     result = SweepResult(spec)
     for value, value2, rep, config in plan:
-        run = run_scenario(config, trace=trace)
+        if rep and draw_free:
+            # The point's first run drew nothing, so its seed reached no
+            # event: this repetition is that run, echoing its own seed.
+            report = replace(report, summary=dict(report.summary,
+                                                  seed=str(config.seed)))
+        else:
+            run = run_scenario(config, trace=trace)
+            report, trace_hash = run.report, run.trace_hash
+            draw_free = not any(stream.built for stream in run.engine.rngs)
         parts = [spec.name, format_value(value)]
         if value2 is not None:
             parts.append(format_value(value2))
@@ -198,7 +209,7 @@ def run_sweep(spec: SweepSpec, trace: bool = False) -> SweepResult:
         result.runs.append(SweepRun(
             scenario_id=":".join(parts), axis_value=value,
             axis2_value=value2, rep=rep, seed=config.seed,
-            report=run.report, trace_hash=run.trace_hash))
+            report=report, trace_hash=trace_hash))
     return result
 
 
@@ -224,6 +235,8 @@ def _curve_label(run: SweepRun) -> str:
 def emit_plot_data(result: SweepResult) -> str:
     """Wide pivot for plotting: one column per curve (axis point),
     one row per minute, cells are mean committed blocks across reps."""
+    import numpy as np
+
     curves: dict[str, list[list[int]]] = {}
     for run in result.runs:
         series = run.report.minute_blocks
@@ -296,6 +309,8 @@ def fit_load_curve(points):
     three are None whenever the warning explains why no estimate is
     possible.
     """
+    import numpy as np
+
     loads = [load for _, load in points]
     if any(b < a - 1e-9 for a, b in zip(loads, loads[1:])):
         return None, None, None, ("utilisation is not monotone in network "

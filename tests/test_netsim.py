@@ -468,6 +468,21 @@ def test_stream_equals_scalar_draws(dist, jitter):
         assert boundary_rejections >= 1
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12, 2**32 + 7, 2**63])
+def test_lazy_generator_is_the_spawned_child(seed):
+    # The engine builds node i's generator on its first draw from
+    # SeedSequence(seed, spawn_key=(i,)); that must be the i-th child of
+    # SeedSequence(seed).spawn(n), which the engine once built up front.
+    for n in (1, 2, 4, 7, 30):
+        children = np.random.SeedSequence(seed).spawn(n)
+        engine, _ = make_engine(n=n, seed=seed)
+        assert not any(stream.built for stream in engine.rngs)
+        for node, child in enumerate(children):
+            state = np.random.default_rng(child).bit_generator.state
+            assert engine.rngs[node].settle().bit_generator.state == state
+        assert all(stream.built for stream in engine.rngs)
+
+
 def test_unknown_distribution_rejected():
     with pytest.raises(ValueError):
         LatencyModel("pareto", 0.1)

@@ -6,11 +6,13 @@ from dataclasses import replace
 import pytest
 
 from pbftsim import sweeps
-from pbftsim.scenario import ScenarioConfig
-from pbftsim.sweeps import (PRESETS, SweepSpec, derive_seed, emit_csv,
-                            emit_plot_data, fit_load_curve, load_preset,
-                            parse_sweep_text, render_load_study,
-                            run_load_study, run_sweep)
+from pbftsim.metrics import render_report
+from pbftsim.scenario import (ScenarioConfig, format_value,
+                              run_scenario)
+from pbftsim.sweeps import (PRESETS, SweepResult, SweepRun, SweepSpec,
+                            derive_seed, emit_csv, emit_plot_data,
+                            fit_load_curve, load_preset, parse_sweep_text,
+                            render_load_study, run_load_study, run_sweep)
 
 SWEEP_TEXT = """\
 axis = block_size
@@ -143,6 +145,62 @@ class TestRunSweep:
         # 4 nodes, 24 txs per node in 120 s: 48 blocks of 2, 19 of 5
         assert result.mean_total(2) == pytest.approx(47, abs=2)
         assert result.mean_total(5) == pytest.approx(19, abs=1)
+
+
+def serial_sweep(spec):
+    """Every run of ``spec`` through ``run_scenario``, one per
+    repetition, as the reference for ``run_sweep``."""
+    result = SweepResult(spec)
+    for idx, value in enumerate(spec.values):
+        for value2 in spec.values2 or (None,):
+            point = {spec.axis: value}
+            if value2 is not None:
+                point[spec.axis2] = value2
+            for rep in range(spec.repetitions):
+                config = replace(spec.base, **point,
+                                 seed=derive_seed(spec.base.seed, idx, rep))
+                run = run_scenario(config, trace=True)
+                parts = [spec.name, *map(format_value, point.values()),
+                         f"r{rep}"]
+                result.runs.append(SweepRun(
+                    ":".join(parts), value, value2, rep, config.seed,
+                    run.report, run.trace_hash))
+    return result
+
+
+RUN_ONCE_SPECS = {
+    # No jitter, no delay law: each point runs once.
+    "draw-free": (small_spec(values=(2, 5), repetitions=3), 2),
+    # The jittered point draws, so each of its repetitions runs.
+    "jitter-point": (small_spec(axis="jitter", values=(0.0, 0.2),
+                                repetitions=3), 1 + 3),
+    "delay-law-axis2": (small_spec(
+        values=(5,), axis2="latency_dist", values2=("none", "uniform"),
+        repetitions=3,
+        base=replace(small_spec().base, latency_mean_s=0.01)), 1 + 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_ONCE_SPECS))
+def test_draw_free_points_run_once(name, monkeypatch):
+    spec, runs = RUN_ONCE_SPECS[name]
+    expected = serial_sweep(spec)
+    calls = []
+
+    def counted(config, **kw):
+        calls.append(config.seed)
+        return run_scenario(config, **kw)
+
+    monkeypatch.setattr(sweeps, "run_scenario", counted)
+    result = run_sweep(spec, trace=True)
+    assert len(calls) == runs
+    assert emit_csv(result) == emit_csv(expected)
+    assert emit_plot_data(result) == emit_plot_data(expected)
+    assert len(result.runs) == len(expected.runs)
+    for got, want in zip(result.runs, expected.runs):
+        assert (got.scenario_id, got.seed) == (want.scenario_id, want.seed)
+        assert render_report(got.report) == render_report(want.report)
+        assert got.trace_hash == want.trace_hash
 
 
 class TestEmitters:
