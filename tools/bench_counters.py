@@ -13,7 +13,12 @@ report.  For each workload the script records
     the generated ``__init__`` of each dataclass counts on its own
     (``pstats.Stats`` keys entries by file, line and name, and merges
     every such ``__init__`` into one);
-  * the min and median wall time of five plain runs in this process.
+  * the min and median wall time of five plain runs in this process;
+  * in a ``setup`` record, the min and median time from launching a
+    fresh process to the workload's first simulated event over
+    ``SETUP_PROBES`` processes, and whether numpy was imported by then.
+    Each process is the benchmark's own set-up probe (``perfbench/child.py
+    setup``), which prints the host clock at the first event.
 
 A last record, ``engine-only``, times the event loop alone: the
 engine on the implant profile at 30 nodes, with stub replicas that
@@ -56,6 +61,18 @@ from pbftsim.wire import Message, MsgKind  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
 
 REPS = 5
+SETUP_PROBES = 11
+
+# Runs ``child.py setup`` as its ``__main__``, then reports whether
+# numpy is loaded: the probe stops at the first event, so nothing runs
+# in between.
+SETUP_CHILD = """
+import runpy, sys
+sys.path.insert(0, {perfbench!r})
+sys.argv = [{child!r}, "setup", {name!r}, {seed!r}]
+runpy.run_path(sys.argv[0], run_name="__main__")
+print("numpy" in sys.modules)
+"""
 
 # The engine-only case: about as many events as one implant-30 run.
 ENGINE_NODES = 30
@@ -120,6 +137,37 @@ def run_engine_only() -> int:
     return engine.run(ENGINE_SECONDS)
 
 
+def probe_setup(wl) -> tuple[float, bool]:
+    """Seconds from launching a fresh process to its first event, and
+    whether numpy was loaded by then."""
+    code = SETUP_CHILD.format(
+        perfbench=str(ROOT / "perfbench"),
+        child=str(ROOT / "perfbench" / "child.py"), name=wl.name,
+        seed=str(wl.default_seed))
+    start = time.monotonic()
+    first_event, numpy_loaded = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, timeout=170).stdout.split()
+    return float(first_event) - start, numpy_loaded == "True"
+
+
+def measure_setup(wl) -> dict:
+    probes = [probe_setup(wl) for _ in range(SETUP_PROBES)]
+    times = [t for t, _ in probes]
+    loaded = {numpy for _, numpy in probes}
+    if len(loaded) != 1:
+        sys.exit(f"{wl.name}: numpy loaded in some set-up probes only")
+    return {
+        "record": "setup",
+        "workload": wl.name,
+        "seed": wl.default_seed,
+        "setup_s": [round(t, 4) for t in times],
+        "setup_min_s": round(min(times), 4),
+        "setup_median_s": round(statistics.median(times), 4),
+        "numpy_at_first_event": loaded.pop(),
+    }
+
+
 def git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -172,6 +220,10 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
     }
     log = json.loads(args.out.read_text()) if args.out.exists() else []
+    for wl in WORKLOADS.values():
+        record = dict(stamp, **measure_setup(wl))
+        print(json.dumps(record), file=sys.stderr)
+        log.append(record)
     cases = [(wl.name, wl.default_seed, lambda wl=wl: run_once(wl))
              for wl in WORKLOADS.values()]
     cases.append(("engine-only", ENGINE_SEED, run_engine_only))
