@@ -54,10 +54,20 @@ the generator's state are therefore those of one-at-a-time draws.
 The event trace goes to one optional sink with ``update(bytes)``,
 such as ``hashlib.sha256()``: one line per executed event.  Without a
 sink the loop makes no trace call.
+
+A run's object graph is acyclic.  The engine owns its replicas, and a
+replica holds its engine through a weak reference, so keep the engine
+(or the run's ``RunResult``) alive while using a replica; a replica's
+message handlers are plain functions in a table on its class, not bound
+methods on the instance.  Reference counting therefore frees a finished
+run as soon as its last reference goes, and ``Engine.run`` pauses the
+cyclic garbage collector while it runs, since there is nothing for it to
+find.
 """
 
 from __future__ import annotations
 
+import gc
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -427,6 +437,9 @@ class Engine:
 
         Each event stays on top of the heap while it runs (see the
         module docstring), and every exit from the loop body removes it.
+        The cyclic garbage collector is paused for the call and turned
+        back on at its end, also when a handler raises, only if it was
+        on before.
         """
         until_us = to_us(until_s)
         heap = self._heap
@@ -443,63 +456,72 @@ class Engine:
         latency = self._delay
         rngs = self.rngs
         executed = arrived = 0
-        while heap:
-            at, _, tag, node, payload = heap[0]
-            if at > until_us:
-                break
-            self.now_us = at
-            executed += 1
-            if trace is not None:
-                trace(at, tag, node, payload)
-            if tag == _EV_ARRIVAL:
-                arrived += 1
-                if crashed[node]:
-                    self.to_crashed += 1
-                    heappop(heap)
-                    continue
-                held = used[node] + payload.size
-                if held > capacity:
-                    dropped[node] += 1
-                    heappop(heap)
-                    continue
-                used[node] = held
-                if cpu_free_us[node] > at:
-                    queues[node].append(payload)
-                    heappop(heap)
-                    continue
-                msg = payload
-            elif tag == _EV_SERVICE:
-                used[node] -= payload.size
-                assert used[node] >= 0, "buffer accounting went negative"
-                if crashed[node]:
-                    self.lost_to_crash += 1
-                    heappop(heap)
-                    continue
-                replicas[node].on_message(payload, at)
-                queue = queues[node]
-                if not queue:
-                    heappop(heap)
-                    continue
-                msg = queue.popleft()
-            else:
-                if tag == _EV_TIMER:
-                    if not crashed[node]:
-                        replicas[node].on_timer(payload, at)
-                elif tag == _EV_GENERATE:
-                    self._on_generate(node)
+        # The run's objects form no cycles (see the module docstring), so
+        # the cyclic collector would find nothing to free; it would only
+        # walk the growing heap and ledgers.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while heap:
+                at, _, tag, node, payload = heap[0]
+                if at > until_us:
+                    break
+                self.now_us = at
+                executed += 1
+                if trace is not None:
+                    trace(at, tag, node, payload)
+                if tag == _EV_ARRIVAL:
+                    arrived += 1
+                    if crashed[node]:
+                        self.to_crashed += 1
+                        heappop(heap)
+                        continue
+                    held = used[node] + payload.size
+                    if held > capacity:
+                        dropped[node] += 1
+                        heappop(heap)
+                        continue
+                    used[node] = held
+                    if cpu_free_us[node] > at:
+                        queues[node].append(payload)
+                        heappop(heap)
+                        continue
+                    msg = payload
+                elif tag == _EV_SERVICE:
+                    used[node] -= payload.size
+                    assert used[node] >= 0, "buffer accounting went negative"
+                    if crashed[node]:
+                        self.lost_to_crash += 1
+                        heappop(heap)
+                        continue
+                    replicas[node].on_message(payload, at)
+                    queue = queues[node]
+                    if not queue:
+                        heappop(heap)
+                        continue
+                    msg = queue.popleft()
                 else:
-                    self._on_crash(node)
-                heappop(heap)
-                continue
-            # The node's processor takes ``msg`` now.
-            svc = fixed_cost_us
-            if latency is not None:
-                svc += latency.sample_us(rngs[node])
-            done = at + svc
-            cpu_free_us[node] = done
-            busy_cpu_us[node] += svc
-            self._seqno += 1
-            heapreplace(heap, (done, self._seqno, _EV_SERVICE, node, msg))
+                    if tag == _EV_TIMER:
+                        if not crashed[node]:
+                            replicas[node].on_timer(payload, at)
+                    elif tag == _EV_GENERATE:
+                        self._on_generate(node)
+                    else:
+                        self._on_crash(node)
+                    heappop(heap)
+                    continue
+                # The node's processor takes ``msg`` now.
+                svc = fixed_cost_us
+                if latency is not None:
+                    svc += latency.sample_us(rngs[node])
+                done = at + svc
+                cpu_free_us[node] = done
+                busy_cpu_us[node] += svc
+                self._seqno += 1
+                heapreplace(heap, (done, self._seqno, _EV_SERVICE, node, msg))
+        finally:
+            if collecting:
+                gc.enable()
         self.now_us = until_us
         self.arrived_packets += arrived
         self.events_executed += executed

@@ -49,6 +49,7 @@ Two recovery mechanisms cover losses:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import islice
@@ -79,6 +80,23 @@ _VIEW_BOUND = frozenset({MsgKind.PRE_PREPARE, MsgKind.PREPARE,
                          MsgKind.COMMIT, MsgKind.RETRY_REQUEST})
 _VOTES = frozenset({MsgKind.PREPARE, MsgKind.COMMIT})
 _COMMIT = MsgKind.COMMIT  # enum member lookups are slow; every vote tests it
+
+# Handlers of the kinds that ``on_message`` does not count itself, by
+# name.  Each class keeps a table of its own functions, called with the
+# replica (``_handlers[kind](self, msg, now_us)``): a table of bound
+# methods on the instance would tie every replica into a cycle.
+_HANDLER_NAMES = {
+    MsgKind.TX_BROADCAST: "_on_tx",
+    MsgKind.CLIENT_REQUEST: "_on_relay",
+    MsgKind.PRE_PREPARE: "_on_pre_prepare",
+    MsgKind.RETRY_REQUEST: "_on_retry_request",
+    MsgKind.VIEW_CHANGE: "_on_view_change",
+    MsgKind.NEW_VIEW: "_on_new_view",
+}
+
+
+def _handler_table(cls) -> dict:
+    return {kind: getattr(cls, name) for kind, name in _HANDLER_NAMES.items()}
 
 # Sequence window: how many announced-but-uncommitted slots the
 # primary may have open.  Wide enough that only runaway overload ever
@@ -128,13 +146,24 @@ class Entry:
 
 
 class Replica:
+    # Each class's handler table; a subclass builds its own, so its
+    # overrides are the ones called.
+    _handlers: dict
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._handlers = _handler_table(cls)
+
     # CPython shares a compact attribute layout among instances of at
     # most 29 attributes; a 30th slowed a 30-node implant run by 2.5%
     # (Python 3.11, 2-core x86-64 VM).  Keep the count under 30; it is
-    # 27 today.
+    # 26 today.
     def __init__(self, node: int, engine: Engine, config: ScenarioConfig):
         self.node = node
-        self.engine = engine
+        # The engine owns its replicas, so a replica holds it weakly and
+        # a finished run is freed by reference counting alone; keep the
+        # engine (or the run's ``RunResult``) alive while using one.
+        self._engine = weakref.ref(engine)
         self.n = n = config.nodes
         self.block_size = config.block_size
         self.retry_period_us = to_us(config.retry_period_s)
@@ -175,19 +204,10 @@ class Replica:
         self.duplicates = 0
         self.view_adoptions = 0
 
-        self._handlers = {
-            MsgKind.TX_BROADCAST: self._on_tx,
-            MsgKind.CLIENT_REQUEST: self._on_relay,
-            MsgKind.PRE_PREPARE: self._on_pre_prepare,
-            MsgKind.RETRY_REQUEST: self._on_retry_request,
-            MsgKind.VIEW_CHANGE: self._on_view_change,
-            MsgKind.NEW_VIEW: self._on_new_view,
-        }
-
     def start(self) -> None:
         """Arm the periodic retry timer; call once after attaching."""
-        self.engine.schedule_timer(self.node, TimerKind.RETRY,
-                                   self.retry_period_us)
+        self._engine().schedule_timer(self.node, TimerKind.RETRY,
+                                      self.retry_period_us)
 
     # ------------------------------------------------------------ helpers
 
@@ -200,9 +220,9 @@ class Replica:
 
     def _emit(self, msg: Message) -> None:
         if msg.recipient is None:
-            self.engine.broadcast(self.node, msg)
+            self._engine().broadcast(self.node, msg)
         else:
-            self.engine.send(self.node, msg.recipient, msg)
+            self._engine().send(self.node, msg.recipient, msg)
 
     def _pending_work(self) -> bool:
         return bool(self.mempool) or bool(self.open_seqs)
@@ -259,7 +279,7 @@ class Replica:
     def on_message(self, msg: Message, now_us: int) -> None:
         kind = msg.kind
         if kind not in _VIEW_BOUND:
-            self._handlers[kind](msg, now_us)
+            self._handlers[kind](self, msg, now_us)
             return
         view = msg.view
         if view > self.view:
@@ -271,7 +291,7 @@ class Replica:
             # part in rounds of the view we are abandoning.
             return
         if kind not in _VOTES:
-            self._handlers[kind](msg, now_us)
+            self._handlers[kind](self, msg, now_us)
             return
         # A PREPARE or COMMIT vote, handled here: votes are most of the
         # traffic, and most of them cannot move their slot.
@@ -384,8 +404,17 @@ class Replica:
             self.duplicates += 1
             return
         entry.content[pos] = msg.tx
-        self._refresh_content(entry)
-        self._advance(entry, now_us)
+        # Until the block's last position arrives neither call can act:
+        # ``_refresh_content`` needs all ``block_size`` positions, and
+        # ``_advance`` needs ``content_ok`` or ``sent_commit``.
+        # ``content_ok`` is false here, or the relay would have counted
+        # as a duplicate.  ``sent_commit`` implies ``content_ok``: only
+        # ``_advance`` sets it, and only on a slot with verified content,
+        # and ``rebind``, the one place that clears ``content_ok``,
+        # clears ``sent_commit`` too.
+        if len(entry.content) == self.block_size:
+            self._refresh_content(entry)
+            self._advance(entry, now_us)
 
     def _refresh_content(self, entry: Entry) -> None:
         b = self.block_size
@@ -506,8 +535,8 @@ class Replica:
     # ------------------------------------------------------------ retries
 
     def _on_retry_timer(self, now_us: int) -> None:
-        self.engine.schedule_timer(self.node, TimerKind.RETRY,
-                                   now_us + self.retry_period_us)
+        self._engine().schedule_timer(self.node, TimerKind.RETRY,
+                                      now_us + self.retry_period_us)
         # Retry the oldest live slot, once it is a whole period old.
         target = self._oldest_open()
         if (target is None
@@ -576,8 +605,8 @@ class Replica:
         if self._vc_timer_at is not None or not self._pending_work():
             return
         self._vc_timer_at = now_us + self._vc_timeout_us()
-        self.engine.schedule_timer(self.node, TimerKind.VIEW_CHANGE,
-                                   self._vc_timer_at)
+        self._engine().schedule_timer(self.node, TimerKind.VIEW_CHANGE,
+                                      self._vc_timer_at)
 
     def _on_vc_timer(self, now_us: int) -> None:
         self._vc_timer_at = None
@@ -586,8 +615,8 @@ class Replica:
             return
         if now_us < deadline:
             self._vc_timer_at = deadline
-            self.engine.schedule_timer(self.node, TimerKind.VIEW_CHANGE,
-                                       deadline)
+            self._engine().schedule_timer(self.node, TimerKind.VIEW_CHANGE,
+                                          deadline)
             return
         target = max(self.view, self.vc_target or 0) + 1
         self.vc_attempts += 1
@@ -709,6 +738,9 @@ class Replica:
                 if tx.origin == self.node and tid not in self.committed_ids:
                     self.mempool.setdefault(tid, tx)
         self._arm_vc(now_us)
+
+
+Replica._handlers = _handler_table(Replica)
 
 
 class EquivocatingReplica(Replica):

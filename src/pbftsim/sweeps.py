@@ -202,6 +202,7 @@ def run_sweep(spec: SweepSpec, trace: bool = False) -> SweepResult:
             run = run_scenario(config, trace=trace)
             report, trace_hash = run.report, run.trace_hash
             draw_free = not any(stream.built for stream in run.engine.rngs)
+            del run  # freed now, not once the next run has been built
         parts = [spec.name, format_value(value)]
         if value2 is not None:
             parts.append(format_value(value2))

@@ -37,6 +37,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import chain
 
 __all__ = [
     "MsgKind",
@@ -154,7 +155,10 @@ class Transaction:
     """A simulated client transaction.
 
     The payload is never materialised; only its size matters to the
-    network model.  ``created_at`` is simulated seconds.
+    network model.  ``created_at`` is simulated seconds.  ``tx_id`` is
+    ``(origin, counter)``, built once, so every replica's mempool,
+    committed set and block id lists share one tuple per transaction;
+    it takes no part in equality or hashing.
     """
 
     origin: int
@@ -162,25 +166,25 @@ class Transaction:
     payload_size: int = DEFAULT_PAYLOAD_SIZE
     tx_type: int = 0
     created_at: float = 0.0
+    tx_id: tuple[int, int] = field(init=False, compare=False, repr=False)
 
-    @property
-    def tx_id(self) -> tuple[int, int]:
-        return (self.origin, self.counter)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tx_id", (self.origin, self.counter))
 
 
 def block_digest(height: int, tx_ids) -> bytes:
-    """Deterministic digest over the height and the ordered id list."""
+    """Deterministic digest over the height and the ordered id list:
+    SHA-256 of little-endian u64 words, the height and then each id's
+    origin and counter.  A word out of the u64 range raises
+    ``struct.error``."""
     ids = tuple(tx_ids)
     if not ids:
         raise ValueError("a block must contain at least one transaction")
     if height < 1:
         raise ValueError(f"block height must be >= 1, got {height}")
-    h = hashlib.sha256()
-    h.update(height.to_bytes(8, "little"))
-    for origin, counter in ids:
-        h.update(origin.to_bytes(8, "little"))
-        h.update(counter.to_bytes(8, "little"))
-    return h.digest()
+    words = struct.pack(f"<{1 + 2 * len(ids)}Q", height,
+                        *chain.from_iterable(ids))
+    return hashlib.sha256(words).digest()
 
 
 def block_ref_from_digest(digest: bytes) -> int:

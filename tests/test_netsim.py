@@ -1,6 +1,7 @@
 """Network simulator tests: event ordering, NIC serialisation,
 ingress buffers, latency samplers, crashes, determinism."""
 
+import gc
 import hashlib
 import random
 
@@ -174,6 +175,51 @@ def test_run_can_be_resumed():
     assert len(recs[0].timers) == 1
     eng.run(2.0)
     assert len(recs[0].timers) == 2
+
+
+# --------------------------------------------------- the cyclic collector
+
+class CollectorProbe(Recorder):
+    """Notes whether the cyclic collector is on at each timer; raises
+    from the timer when ``fail`` is set."""
+
+    def __init__(self, fail=False):
+        super().__init__()
+        self.fail = fail
+        self.collecting = []
+
+    def on_timer(self, kind, now_us):
+        self.collecting.append(gc.isenabled())
+        if self.fail:
+            raise RuntimeError("handler failed")
+
+
+@pytest.mark.parametrize("before, fail", [(True, False), (False, False),
+                                          (True, True)])
+def test_run_pauses_the_collector_and_restores_its_state(before, fail):
+    eng, _ = make_engine(n=1)
+    probe = CollectorProbe(fail)
+    eng.attach_replica(0, probe)
+    eng.schedule_timer(0, TimerKind.RETRY, 100)
+    was = gc.isenabled()
+    try:
+        if before:
+            gc.enable()
+        else:
+            gc.disable()
+        if fail:
+            with pytest.raises(RuntimeError, match="handler failed"):
+                eng.run(1.0)
+        else:
+            eng.run(1.0)
+        after = gc.isenabled()
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+    assert probe.collecting == [False]
+    assert after == before
 
 
 # ------------------------------------------------------- NIC serialisation

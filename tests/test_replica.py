@@ -72,6 +72,20 @@ def test_attributes_fit_the_shared_layout():
         assert len(vars(replica)) < 30
 
 
+def test_subclass_handler_overrides_are_called():
+    class Holding(Replica):
+        def _on_tx(self, msg, now_us):
+            self.held = (msg, now_us)
+
+    replica, _ = make_replica(node=2, cls=Holding)
+    fwd = Message(kind=MsgKind.TX_BROADCAST, sender=1, recipient=2,
+                  view=0, seq=0, tx=tx(1, 0))
+    replica.on_message(fwd, 7)
+    assert replica.held == (fwd, 7)
+    assert replica.mempool == {}
+    assert Replica._handlers[MsgKind.TX_BROADCAST] is Replica._on_tx
+
+
 # ----------------------------------------------------------- proposing
 
 class TestProposal:
@@ -667,7 +681,7 @@ class EveryVoteAdvances:
                 and msg.view <= self.view):
             return
         if msg.kind not in (MsgKind.PREPARE, MsgKind.COMMIT):
-            self._handlers[msg.kind](msg, now_us)
+            self._handlers[msg.kind](self, msg, now_us)
             return
         if msg.view < self.view:
             return

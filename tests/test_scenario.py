@@ -1,6 +1,8 @@
 """Config parsing and assembled single-run behaviour."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -255,3 +257,23 @@ class TestRun:
     def test_trace_disabled_by_default(self):
         res = run_scenario(quick())
         assert res.trace_hash is None
+
+
+class TestRunGraph:
+    @pytest.mark.parametrize("config", [
+        quick(latency_dist="uniform", latency_mean_s=0.01),
+        quick(nodes=7, equivocators=(0,), crashes=((3, 30.0),)),
+    ], ids=["plain", "equivocator-and-crash"])
+    def test_finished_run_is_freed_by_reference_counting(self, config):
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            result = run_scenario(config, trace=True)
+            engine = weakref.ref(result.engine)
+            replicas = [weakref.ref(r) for r in result.replicas]
+            del result
+            assert engine() is None
+            assert all(replica() is None for replica in replicas)
+        finally:
+            if was:
+                gc.enable()

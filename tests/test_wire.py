@@ -5,9 +5,11 @@ test: field widths are summed literally, golden frames were built
 from the documented layout with struct alone (tests/data).
 """
 
+import hashlib
 import json
 import random
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -357,6 +359,24 @@ def test_block_digest_handles_large_blocks():
     assert len(block_digest(1, ids)) == DIGEST_SIZE
 
 
+def test_block_digest_hashes_the_documented_layout():
+    # Little-endian u64 words: height 5, then (1, 2) and the id with
+    # the largest origin a word holds.
+    layout = bytes.fromhex(
+        "0500000000000000"
+        "0100000000000000" "0200000000000000"
+        "ffffffffffffffff" "0807060504030201")
+    ids = [(1, 2), (2**64 - 1, 0x0102030405060708)]
+    assert block_digest(5, ids) == hashlib.sha256(layout).digest()
+
+
+@pytest.mark.parametrize("ids", [[(2**64, 0)], [(0, 2**64)], [(-1, 0)],
+                                 [(1, 1), (0, -1)]])
+def test_block_digest_rejects_ids_outside_u64(ids):
+    with pytest.raises(struct.error):
+        block_digest(1, ids)
+
+
 def test_block_digest_rejects_empty_block():
     with pytest.raises(ValueError):
         block_digest(1, [])
@@ -365,6 +385,18 @@ def test_block_digest_rejects_empty_block():
 def test_block_digest_rejects_nonpositive_height():
     with pytest.raises(ValueError):
         block_digest(0, [(1, 1)])
+
+
+def test_tx_id_is_one_tuple_outside_equality():
+    t = Transaction(origin=3, counter=9, created_at=1.5)
+    assert t.tx_id == (3, 9)
+    assert t.tx_id is t.tx_id
+    twin = Transaction(origin=3, counter=9, created_at=1.5)
+    assert t == twin and hash(t) == hash(twin)
+    assert t != Transaction(origin=3, counter=9, created_at=2.0)
+    assert "tx_id" not in repr(t)
+    with pytest.raises(TypeError):
+        Transaction(origin=3, counter=9, tx_id=(0, 0))
 
 
 def test_block_ref_is_first_eight_digest_bytes():

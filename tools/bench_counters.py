@@ -18,7 +18,15 @@ report.  For each workload the script records
     fresh process to the workload's first simulated event over
     ``SETUP_PROBES`` processes, and whether numpy was imported by then.
     Each process is the benchmark's own set-up probe (``perfbench/child.py
-    setup``), which prints the host clock at the first event.
+    setup``), which prints the host clock at the first event;
+  * in a ``round`` record, over ``ROUND_PROBES`` fresh processes that
+    each run one benchmark round (``perfbench/workloads.run_round``, as
+    ``perfbench/child.py round`` does): the process's own peak resident
+    memory, read as ``VmHWM`` from ``/proc/self/status``, and, while
+    the program's own calls run, the cyclic garbage collector's passes
+    and the objects they found per generation and its seconds.
+    ``VmHWM`` starts afresh in a new process, while ``ru_maxrss``, which
+    the benchmark reads, keeps the launcher's peak across ``exec``.
 
 A last record, ``engine-only``, times the event loop alone: the
 engine on the implant profile at 30 nodes, with stub replicas that
@@ -72,6 +80,46 @@ sys.path.insert(0, {perfbench!r})
 sys.argv = [{child!r}, "setup", {name!r}, {seed!r}]
 runpy.run_path(sys.argv[0], run_name="__main__")
 print("numpy" in sys.modules)
+"""
+
+ROUND_PROBES = 3
+
+# Runs one round of the workload and prints the process's peak resident
+# memory, with the cyclic collector's passes and the objects they found
+# by generation, and its seconds, counted while the program's own calls
+# run (the round's ``Stopwatch`` is running).
+ROUND_CHILD = """
+import gc, json, sys, time
+sys.path.insert(0, {perfbench!r})
+import srcpath
+from workloads import WORKLOADS, Stopwatch, run_round
+
+class Watch(Stopwatch):
+    running = False
+    def start(self):
+        self.running = True
+        super().start()
+    def stop(self):
+        super().stop()
+        self.running = False
+
+watch = Watch()
+passes, found, spent = [0, 0, 0], [0, 0, 0], [0.0]
+def count(phase, info):
+    if not watch.running:
+        return
+    if phase == "start":
+        spent[0] -= time.perf_counter()
+        return
+    spent[0] += time.perf_counter()
+    passes[info["generation"]] += 1
+    found[info["generation"]] += info["collected"] + info["uncollectable"]
+gc.callbacks.append(count)
+run_round(WORKLOADS[{name!r}], {seed!r}, watch)
+with open("/proc/self/status") as status:
+    peak_kib = next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+print(json.dumps([peak_kib, spent[0], passes, found]))
 """
 
 # The engine-only case: about as many events as one implant-30 run.
@@ -168,6 +216,38 @@ def measure_setup(wl) -> dict:
     }
 
 
+def probe_round(wl) -> tuple[int, float, list, list]:
+    """Peak resident KiB of a fresh process running one round, and the
+    collector's seconds, passes and objects found per generation during
+    the program's calls."""
+    code = ROUND_CHILD.format(perfbench=str(ROOT / "perfbench"),
+                              name=wl.name, seed=wl.default_seed)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=600).stdout
+    return tuple(json.loads(out))
+
+
+def measure_round(wl) -> dict:
+    probes = [probe_round(wl) for _ in range(ROUND_PROBES)]
+    peaks = [peak / 1024 for peak, _, _, _ in probes]
+    spent = [gc_s for _, gc_s, _, _ in probes]
+    counts = {json.dumps(probe[2:]) for probe in probes}
+    if len(counts) != 1:
+        sys.exit(f"{wl.name}: collector counts differ between rounds")
+    passes, found = json.loads(counts.pop())
+    return {
+        "record": "round",
+        "workload": wl.name,
+        "seed": wl.default_seed,
+        "peak_mib": [round(p, 1) for p in peaks],
+        "peak_min_mib": round(min(peaks), 1),
+        "peak_median_mib": round(statistics.median(peaks), 1),
+        "gc_passes": passes,
+        "gc_found": found,
+        "gc_s": [round(t, 4) for t in spent],
+    }
+
+
 def git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -221,9 +301,10 @@ def main(argv=None) -> int:
     }
     log = json.loads(args.out.read_text()) if args.out.exists() else []
     for wl in WORKLOADS.values():
-        record = dict(stamp, **measure_setup(wl))
-        print(json.dumps(record), file=sys.stderr)
-        log.append(record)
+        for probe in (measure_setup, measure_round):
+            record = dict(stamp, **probe(wl))
+            print(json.dumps(record), file=sys.stderr)
+            log.append(record)
     cases = [(wl.name, wl.default_seed, lambda wl=wl: run_once(wl))
              for wl in WORKLOADS.values()]
     cases.append(("engine-only", ENGINE_SEED, run_engine_only))
