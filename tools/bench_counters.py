@@ -231,10 +231,9 @@ def measure_round(wl) -> dict:
     probes = [probe_round(wl) for _ in range(ROUND_PROBES)]
     peaks = [peak / 1024 for peak, _, _, _ in probes]
     spent = [gc_s for _, gc_s, _, _ in probes]
-    counts = {json.dumps(probe[2:]) for probe in probes}
-    if len(counts) != 1:
+    passes, found = probes[0][2:]
+    if any(probe[2:] != (passes, found) for probe in probes):
         sys.exit(f"{wl.name}: collector counts differ between rounds")
-    passes, found = json.loads(counts.pop())
     return {
         "record": "round",
         "workload": wl.name,
