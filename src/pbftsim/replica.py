@@ -45,6 +45,13 @@ Two recovery mechanisms cover losses:
     about.  Block assembly stays frozen until those re-announced
     entries commit, which keeps a transaction from ever being
     committed under two different blocks.
+
+The view change is its own unit, as in PBFT (Castro & Liskov, OSDI
+'99, section 4.4): a replica's ``ViewChange`` (``self.vc``) holds the
+timer (``arm``, ``on_timer``, ``deadline``), the votes (``vote``, and
+``record``, which may join or lead the change), the new primary's
+``lead`` and the ``restart`` on adoption.  It holds no reference to
+its replica; each step that acts on one takes it as an argument.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ from .wire import (
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
 
-__all__ = ["Entry", "Replica", "EquivocatingReplica"]
+__all__ = ["Entry", "Replica", "EquivocatingReplica", "ViewChange"]
 
 _ZERO_DIGEST = bytes(32)
 
@@ -157,7 +164,7 @@ class Replica:
     # CPython shares a compact attribute layout among instances of at
     # most 29 attributes; a 30th slowed a 30-node implant run by 2.5%
     # (Python 3.11, 2-core x86-64 VM).  Keep the count under 30; it is
-    # 26 today.
+    # 20 today.
     def __init__(self, node: int, engine: Engine, config: ScenarioConfig):
         self.node = node
         # The engine owns its replicas, so a replica holds it weakly and
@@ -167,7 +174,6 @@ class Replica:
         self.n = n = config.nodes
         self.block_size = config.block_size
         self.retry_period_us = to_us(config.retry_period_s)
-        self.view_timeout_us = to_us(config.view_change_timeout_s)
         # At least our own vote, also where f = 0.
         self.prepare_q = max(prepare_quorum(n), 1)
         self.commit_q = commit_quorum(n)
@@ -184,20 +190,11 @@ class Replica:
         self._open_by_age: list = []
         self.mempool: dict[tuple, Transaction] = {}
         self.committed_ids: set = set()
-        self.frozen_seqs: set = set()
         # Heights appended so far; grows strictly 1, 2, 3, ... as
         # commit certificates complete in order.
         self.ledger: list[int] = []
-        # Sequence numbers below our proposal horizon that were
-        # abandoned by a view change; refilled first.
-        self.hole_seqs: set = set()
-
-        self.view_started_us = 0
-        self.vc_attempts = 0
         self.vc_target: int | None = None
-        # target view -> {voter: set of (seq, digest, block_ref)}
-        self.vc_votes: dict[int, dict[int, set]] = {}
-        self._vc_timer_at: int | None = None
+        self.vc = ViewChange(to_us(config.view_change_timeout_s))
 
         # Run counters, read by metrics.finalize.
         self.retries = 0
@@ -224,9 +221,6 @@ class Replica:
         else:
             self._engine().send(self.node, msg.recipient, msg)
 
-    def _pending_work(self) -> bool:
-        return bool(self.mempool) or bool(self.open_seqs)
-
     def _send(self, kind: MsgKind, view: int, seq: int, digest: bytes,
               block_ref: int, now_us: int, dst: int | None = None,
               client_request: int = 0) -> None:
@@ -236,13 +230,11 @@ class Replica:
                            block_ref=block_ref, timestamp=now_us // 1000,
                            client_request=client_request))
 
-    def _open_entry(self, seq: int, view: int, digest: bytes | None,
-                    block_ref: int, now_us: int, **state) -> Entry:
-        """Register a new live slot."""
-        entry = Entry(seq=seq, view=view, digest=digest, block_ref=block_ref,
-                      created_us=now_us, **state)
-        self.entries[seq] = entry
-        self.open_seqs.add(seq)
+    def _open(self, entry: Entry) -> Entry:
+        """Make a slot live: filed under its seq, voting, and on the age
+        heap.  Every slot that opens or reopens comes through here."""
+        self.entries[entry.seq] = entry
+        self.open_seqs.add(entry.seq)
         heappush(self._open_by_age, entry)
         return entry
 
@@ -274,7 +266,7 @@ class Replica:
         if kind == TimerKind.RETRY:
             self._on_retry_timer(now_us)
         elif kind == TimerKind.VIEW_CHANGE:
-            self._on_vc_timer(now_us)
+            self.vc.on_timer(self, now_us)
 
     def on_message(self, msg: Message, now_us: int) -> None:
         kind = msg.kind
@@ -332,7 +324,7 @@ class Replica:
             self.duplicates += 1
             return
         self.mempool[tid] = tx
-        self._arm_vc(now_us)
+        self.vc.arm(self, now_us)
         if self.is_primary:
             self._try_propose(now_us)
         elif forward:
@@ -352,30 +344,30 @@ class Replica:
 
     def _try_propose(self, now_us: int) -> None:
         block = self.block_size
-        while (self.is_primary and not self.frozen_seqs
+        vc = self.vc
+        while (self.is_primary and not vc.frozen_seqs
                and len(self.open_seqs) < MAX_INFLIGHT
                and len(self.mempool) >= block):
             picked = list(islice(self.mempool.items(), block))
             for tid, _ in picked:
                 del self.mempool[tid]
             txs = [tx for _, tx in picked]
-            if self.hole_seqs:
+            if vc.hole_seqs:
                 # Refill slots orphaned by a view change first, so
                 # the ledger can drain past them.
-                seq = min(self.hole_seqs)
-                self.hole_seqs.discard(seq)
+                seq = min(vc.hole_seqs)
+                vc.hole_seqs.discard(seq)
             else:
                 seq = self.next_seq
                 self.next_seq += 1
             tx_ids = [tx.tx_id for tx in txs]
             digest = block_digest(seq, tx_ids)
-            ref = block_ref_from_digest(digest)
-            entry = self._open_entry(
-                seq, self.view, digest, ref, now_us,
+            entry = self._open(Entry(
+                seq, self.view, digest, block_ref_from_digest(digest), now_us,
                 content=dict(enumerate(txs)), tx_ids=tx_ids,
-                pre_prepared=True, content_ok=True, prepares={self.node})
+                pre_prepared=True, content_ok=True, prepares={self.node}))
             self._announce(entry, now_us)
-            self._arm_vc(now_us)
+            vc.arm(self, now_us)
 
     def _announce(self, entry: Entry, now_us: int) -> None:
         self._send(MsgKind.PRE_PREPARE, self.view, entry.seq, entry.digest,
@@ -398,8 +390,8 @@ class Replica:
             return
         entry = self.entries.get(msg.seq)
         if entry is None:
-            entry = self._open_entry(msg.seq, msg.view, None, msg.block_ref,
-                                     now_us)
+            entry = self._open(Entry(msg.seq, msg.view, None, msg.block_ref,
+                                     now_us))
         if entry.content_ok or pos in entry.content:
             self.duplicates += 1
             return
@@ -436,8 +428,8 @@ class Replica:
         Returns None when the message is stale or conflicting."""
         entry = self.entries.get(msg.seq)
         if entry is None:
-            return self._open_entry(msg.seq, msg.view, msg.digest,
-                                    msg.block_ref, now_us)
+            return self._open(Entry(msg.seq, msg.view, msg.digest,
+                                    msg.block_ref, now_us))
         if entry.committed:
             return entry if entry.digest == msg.digest else None
         if entry.digest is None:
@@ -450,8 +442,7 @@ class Replica:
             # A newer view rebinds the slot, to the same block or to a
             # different one (the old binding died with its view).
             entry.rebind(msg.view, msg.digest, msg.block_ref)
-            self.open_seqs.add(entry.seq)
-            heappush(self._open_by_age, entry)
+            self._open(entry)
         elif entry.digest != msg.digest:
             return None
         return entry
@@ -481,7 +472,7 @@ class Replica:
         self._advance(entry, now_us)
         if msg.seq >= self.next_seq:
             self.next_seq = msg.seq + 1
-        self._arm_vc(now_us)
+        self.vc.arm(self, now_us)
 
     def _advance(self, entry: Entry, now_us: int) -> None:
         """Move the slot as far as its votes allow: our PREPARE once it
@@ -508,17 +499,17 @@ class Replica:
     def _commit(self, entry: Entry, now_us: int) -> None:
         entry.committed = True
         self.open_seqs.discard(entry.seq)
-        self.hole_seqs.discard(entry.seq)
         self.committed_ids.update(entry.tx_ids)
         for tid in entry.tx_ids:
             self.mempool.pop(tid, None)
-        self.frozen_seqs.discard(entry.seq)
-        self.vc_attempts = 0
+        self.vc.hole_seqs.discard(entry.seq)
+        self.vc.frozen_seqs.discard(entry.seq)
+        self.vc.attempts = 0
         self.vc_target = None
         self._drain_ledger(now_us)
         if self.is_primary:
             self._try_propose(now_us)
-        self._arm_vc(now_us)
+        self.vc.arm(self, now_us)
 
     def _drain_ledger(self, now_us: int) -> None:
         """Append committed blocks in height order; a block above a
@@ -579,131 +570,12 @@ class Replica:
 
     # -------------------------------------------------------- view change
 
-    def _vc_timeout_us(self) -> int:
-        return self.view_timeout_us * (2 ** min(self.vc_attempts, 10))
-
-    def _vc_deadline(self, now_us: int) -> int | None:
-        """When the view-change timer expires.  Keyed to the age of
-        the oldest uncommitted transaction or slot, not to recent
-        progress: a primary that keeps committing fresh blocks while
-        old requests starve must still be voted out.  Adopting a view
-        restarts the clock so carried work gets a full timeout under
-        its new primary."""
-        oldest = None
-        entry = self._oldest_open()
-        if entry is not None:
-            oldest = entry.created_us
-        if self.mempool:
-            waiting = min(int(tx.created_at * US_PER_S)
-                          for tx in self.mempool.values())
-            oldest = waiting if oldest is None else min(oldest, waiting)
-        if oldest is None:
-            return None
-        return max(oldest, self.view_started_us) + self._vc_timeout_us()
-
-    def _arm_vc(self, now_us: int) -> None:
-        if self._vc_timer_at is not None or not self._pending_work():
-            return
-        self._vc_timer_at = now_us + self._vc_timeout_us()
-        self._engine().schedule_timer(self.node, TimerKind.VIEW_CHANGE,
-                                      self._vc_timer_at)
-
-    def _on_vc_timer(self, now_us: int) -> None:
-        self._vc_timer_at = None
-        deadline = self._vc_deadline(now_us)
-        if deadline is None:
-            return
-        if now_us < deadline:
-            self._vc_timer_at = deadline
-            self._engine().schedule_timer(self.node, TimerKind.VIEW_CHANGE,
-                                          deadline)
-            return
-        target = max(self.view, self.vc_target or 0) + 1
-        self.vc_attempts += 1
-        self._vote_view_change(target, now_us)
-        self._arm_vc(now_us)
-
-    def _vote_view_change(self, target: int, now_us: int) -> None:
-        self.vc_target = target
-        reports = set()
-        for entry in self.entries.values():
-            if (not entry.committed and entry.digest is not None
-                    and self.node in entry.prepares
-                    and len(entry.prepares) >= self.prepare_q):
-                reports.add((entry.seq, entry.digest, entry.block_ref))
-        # A baseline vote, then one per prepared entry.
-        for seq, digest, ref in [(0, _ZERO_DIGEST, 0), *sorted(reports)]:
-            self._send(MsgKind.VIEW_CHANGE, target, seq, digest, ref, now_us)
-        self._record_vc_votes(self.node, target, reports, now_us)
-
-    def _record_vc_votes(self, voter: int, target: int, reports,
-                         now_us: int) -> None:
-        voters = self.vc_votes.setdefault(target, {})
-        voters.setdefault(voter, set()).update(reports)
-        self._evaluate_vc(target, now_us)
-
     def _on_view_change(self, msg: Message, now_us: int) -> None:
-        target = msg.view
-        if target <= self.view:
+        if msg.view <= self.view:
             return
-        reports = set()
-        if msg.seq > 0:
-            reports.add((msg.seq, msg.digest, msg.block_ref))
-        self._record_vc_votes(msg.sender, target, reports, now_us)
-
-    def _evaluate_vc(self, target: int, now_us: int) -> None:
-        if target <= self.view:
-            return
-        voters = self.vc_votes.get(target, {})
-        # Join once f + 1 peers want this view (we will not be the
-        # lone holdout keeping the old primary alive).
-        if (len(voters) >= fault_tolerance(self.n) + 1
-                and (self.vc_target is None or self.vc_target < target)):
-            self._vote_view_change(target, now_us)
-            if target <= self.view:
-                return  # our own vote completed the quorum and led
-        if (self.primary_of(target) == self.node
-                and len(voters) >= self.commit_q):
-            self._lead_view(target, now_us)
-
-    def _lead_view(self, target: int, now_us: int) -> None:
-        reports = {}
-        for report_set in self.vc_votes.get(target, {}).values():
-            for seq, digest, ref in report_set:
-                current = reports.get(seq)
-                if current is None or digest < current[0]:
-                    reports[seq] = (digest, ref)
-        self._adopt_view(target, now_us)
-        self._send(MsgKind.NEW_VIEW, target, 0, _ZERO_DIGEST, 0, now_us)
-        for seq in sorted(reports):
-            digest, ref = reports[seq]
-            entry = self.entries.get(seq)
-            if entry is None:
-                entry = self._open_entry(seq, target, digest, ref, now_us)
-            # Committed entries are re-announced too: peers that hold
-            # them answer with a commit vouch, which helps laggards.
-            if not entry.committed:
-                entry.rebind(target, digest, ref)
-                entry.pre_prepared = True
-                entry.prepares = {self.node}
-                self.open_seqs.add(seq)
-                heappush(self._open_by_age, entry)
-                self.frozen_seqs.add(seq)
-                self._refresh_content(entry)
-            self._send(MsgKind.PRE_PREPARE, target, seq, entry.digest,
-                       entry.block_ref, now_us)
-            if entry.content_ok and not entry.committed:
-                self._send_content(entry, None, range(len(entry.tx_ids)))
-                self._advance(entry, now_us)
-        # Proposal horizon restarts just past everything that was
-        # preserved; abandoned slots below it become holes we must
-        # refill so the ledger can keep draining in order.
-        committed = {s for s, e in self.entries.items() if e.committed}
-        floor = max(max(reports, default=0), max(committed, default=0))
-        self.next_seq = floor + 1
-        self.hole_seqs = {h for h in range(1, floor + 1)
-                          if h not in committed and h not in reports}
-        self._try_propose(now_us)
+        reports = ({(msg.seq, msg.digest, msg.block_ref)} if msg.seq > 0
+                   else set())
+        self.vc.record(self, msg.sender, msg.view, reports, now_us)
 
     def _on_new_view(self, msg: Message, now_us: int) -> None:
         if (msg.view <= self.view
@@ -718,12 +590,8 @@ class Replica:
             return
         self.view = view
         self.view_adoptions += 1
-        self.view_started_us = now_us
-        self.vc_attempts = 0
         self.vc_target = None
-        self.hole_seqs.clear()
-        for stale in [t for t in self.vc_votes if t <= view]:
-            del self.vc_votes[stale]
+        self.vc.restart(view, now_us)
         for seq in list(self.open_seqs):
             entry = self.entries[seq]
             if entry.view >= view:
@@ -737,10 +605,157 @@ class Replica:
                 tid = tx.tx_id
                 if tx.origin == self.node and tid not in self.committed_ids:
                     self.mempool.setdefault(tid, tx)
-        self._arm_vc(now_us)
+        self.vc.arm(self, now_us)
 
 
 Replica._handlers = _handler_table(Replica)
+
+
+class ViewChange:
+    """One replica's view-change state and steps (module docstring)."""
+
+    __slots__ = ("base_timeout_us", "started_us", "attempts", "votes",
+                 "timer_at", "hole_seqs", "frozen_seqs")
+
+    def __init__(self, base_timeout_us: int):
+        self.base_timeout_us = base_timeout_us
+        self.started_us = 0  # when the current view was adopted
+        self.attempts = 0  # consecutive timeouts without a commit
+        # target view -> {voter: set of (seq, digest, block_ref)}
+        self.votes: dict[int, dict[int, set]] = {}
+        self.timer_at: int | None = None
+        # Sequence numbers below the proposal horizon that were
+        # abandoned by a view change; refilled first.
+        self.hole_seqs: set = set()
+        # Slots re-announced by a new primary; assembly waits on them.
+        self.frozen_seqs: set = set()
+
+    def timeout_us(self) -> int:
+        return self.base_timeout_us * (2 ** min(self.attempts, 10))
+
+    def deadline(self, replica: Replica) -> int | None:
+        """When the view-change timer expires.  Keyed to the age of
+        the oldest uncommitted transaction or slot, not to recent
+        progress: a primary that keeps committing fresh blocks while
+        old requests starve must still be voted out.  Adopting a view
+        restarts the clock so carried work gets a full timeout under
+        its new primary."""
+        oldest = None
+        entry = replica._oldest_open()
+        if entry is not None:
+            oldest = entry.created_us
+        if replica.mempool:
+            waiting = min(int(tx.created_at * US_PER_S)
+                          for tx in replica.mempool.values())
+            oldest = waiting if oldest is None else min(oldest, waiting)
+        if oldest is None:
+            return None
+        return max(oldest, self.started_us) + self.timeout_us()
+
+    def arm(self, replica: Replica, now_us: int) -> None:
+        """Start the timer, unless it runs or there is no pending work."""
+        if self.timer_at is not None or not (replica.mempool
+                                             or replica.open_seqs):
+            return
+        self.timer_at = now_us + self.timeout_us()
+        replica._engine().schedule_timer(replica.node, TimerKind.VIEW_CHANGE,
+                                         self.timer_at)
+
+    def on_timer(self, replica: Replica, now_us: int) -> None:
+        self.timer_at = None
+        deadline = self.deadline(replica)
+        if deadline is None:
+            return
+        if now_us < deadline:
+            self.timer_at = deadline
+            replica._engine().schedule_timer(replica.node,
+                                             TimerKind.VIEW_CHANGE, deadline)
+            return
+        target = max(replica.view, replica.vc_target or 0) + 1
+        self.attempts += 1
+        self.vote(replica, target, now_us)
+        self.arm(replica, now_us)
+
+    def vote(self, replica: Replica, target: int, now_us: int) -> None:
+        replica.vc_target = target
+        reports = set()
+        for entry in replica.entries.values():
+            if (not entry.committed and entry.digest is not None
+                    and replica.node in entry.prepares
+                    and len(entry.prepares) >= replica.prepare_q):
+                reports.add((entry.seq, entry.digest, entry.block_ref))
+        # A baseline vote, then one per prepared entry.
+        for seq, digest, ref in [(0, _ZERO_DIGEST, 0), *sorted(reports)]:
+            replica._send(MsgKind.VIEW_CHANGE, target, seq, digest, ref,
+                          now_us)
+        self.record(replica, replica.node, target, reports, now_us)
+
+    def record(self, replica: Replica, voter: int, target: int, reports,
+               now_us: int) -> None:
+        """Count a vote for ``target``, then join or lead the change if
+        the votes so far call for it."""
+        voters = self.votes.setdefault(target, {})
+        voters.setdefault(voter, set()).update(reports)
+        if target <= replica.view:
+            return
+        # Join once f + 1 peers want this view (we will not be the
+        # lone holdout keeping the old primary alive).
+        if (len(voters) >= fault_tolerance(replica.n) + 1
+                and (replica.vc_target is None
+                     or replica.vc_target < target)):
+            self.vote(replica, target, now_us)
+            if target <= replica.view:
+                return  # our own vote completed the quorum and led
+        if (replica.primary_of(target) == replica.node
+                and len(voters) >= replica.commit_q):
+            self.lead(replica, target, now_us)
+
+    def lead(self, replica: Replica, target: int, now_us: int) -> None:
+        reports = {}
+        for report_set in self.votes.get(target, {}).values():
+            for seq, digest, ref in report_set:
+                current = reports.get(seq)
+                if current is None or digest < current[0]:
+                    reports[seq] = (digest, ref)
+        replica._adopt_view(target, now_us)
+        replica._send(MsgKind.NEW_VIEW, target, 0, _ZERO_DIGEST, 0, now_us)
+        for seq in sorted(reports):
+            digest, ref = reports[seq]
+            entry = replica.entries.get(seq)
+            if entry is None:
+                entry = replica._open(Entry(seq, target, digest, ref, now_us))
+            # Committed entries are re-announced too: peers that hold
+            # them answer with a commit vouch, which helps laggards.
+            if not entry.committed:
+                entry.rebind(target, digest, ref)
+                entry.pre_prepared = True
+                entry.prepares = {replica.node}
+                replica._open(entry)
+                self.frozen_seqs.add(seq)
+                replica._refresh_content(entry)
+            replica._send(MsgKind.PRE_PREPARE, target, seq, entry.digest,
+                          entry.block_ref, now_us)
+            if entry.content_ok and not entry.committed:
+                replica._send_content(entry, None, range(len(entry.tx_ids)))
+                replica._advance(entry, now_us)
+        # Proposal horizon restarts just past everything that was
+        # preserved; abandoned slots below it become holes we must
+        # refill so the ledger can keep draining in order.
+        committed = {s for s, e in replica.entries.items() if e.committed}
+        floor = max(max(reports, default=0), max(committed, default=0))
+        replica.next_seq = floor + 1
+        self.hole_seqs = {h for h in range(1, floor + 1)
+                          if h not in committed and h not in reports}
+        replica._try_propose(now_us)
+
+    def restart(self, view: int, now_us: int) -> None:
+        """A view was adopted: its clock starts now, and the attempts,
+        holes and votes of older views are spent."""
+        self.started_us = now_us
+        self.attempts = 0
+        self.hole_seqs.clear()
+        for stale in [t for t in self.votes if t <= view]:
+            del self.votes[stale]
 
 
 class EquivocatingReplica(Replica):
@@ -750,25 +765,19 @@ class EquivocatingReplica(Replica):
     """
 
     def _announce(self, entry: Entry, now_us: int) -> None:
-        peers = [i for i in range(self.n) if i != self.node]
-        alt_ids = list(reversed(entry.tx_ids))
+        alt_ids = entry.tx_ids[::-1]
         if alt_ids == entry.tx_ids:
             super()._announce(entry, now_us)
             return
-        alt_digest = block_digest(entry.seq, alt_ids)
-        alt_ref = block_ref_from_digest(alt_digest)
-        alt_txs = list(reversed([entry.content[p]
-                                 for p in range(len(alt_ids))]))
+        # The reversed block, held only to be sent.
+        digest = block_digest(entry.seq, alt_ids)
+        alt = Entry(entry.seq, self.view, digest,
+                    block_ref_from_digest(digest), now_us,
+                    content=dict(enumerate(reversed(entry.content.values()))))
+        peers = [i for i in range(self.n) if i != self.node]
         half = len(peers) // 2
-        for dst in peers[:half]:
-            self._send(MsgKind.PRE_PREPARE, self.view, entry.seq,
-                       entry.digest, entry.block_ref, now_us, dst)
-            self._send_content(entry, dst, range(len(entry.tx_ids)))
-        for dst in peers[half:]:
-            self._send(MsgKind.PRE_PREPARE, self.view, entry.seq, alt_digest,
-                       alt_ref, now_us, dst)
-            for pos, tx in enumerate(alt_txs):
-                self._emit(Message(kind=MsgKind.CLIENT_REQUEST,
-                                   sender=self.node, recipient=dst,
-                                   view=self.view, seq=entry.seq, tx=tx,
-                                   block_ref=alt_ref, timestamp=pos))
+        for block, dsts in ((entry, peers[:half]), (alt, peers[half:])):
+            for dst in dsts:
+                self._send(MsgKind.PRE_PREPARE, self.view, block.seq,
+                           block.digest, block.block_ref, now_us, dst)
+                self._send_content(block, dst, range(len(alt_ids)))

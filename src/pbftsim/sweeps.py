@@ -66,6 +66,12 @@ class SweepSpec:
             raise ValueError("a sweep needs at least one axis value")
         if self.axis2 is not None and not self.values2:
             raise ValueError("second axis declared without values")
+        for axis, values in ((self.axis, self.values),
+                             (self.axis2, self.values2)):
+            # a repeated value would run twice under one scenario id
+            for value in values:
+                if values.count(value) > 1:
+                    raise ValueError(f"axis {axis!r} repeats {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 

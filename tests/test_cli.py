@@ -152,6 +152,15 @@ class TestLoadStudy:
                      "--nodes", "4,,8"]) == 1
         assert "--nodes" in capsys.readouterr().err
 
+    def test_repeated_nodes_rejected(self, tmp_path, capsys):
+        sweep = tmp_path / "s.cfg"
+        sweep.write_text(QUICK_SWEEP.replace("axis = block_size",
+                                             "axis = nodes"))
+        assert main(["load-study", "--preset", str(sweep),
+                     "--nodes", "4,6,4"]) == 1
+        assert capsys.readouterr().err == (
+            "error: axis 'nodes' repeats 4\n")
+
     def test_bad_size_fails_before_any_run(self, tmp_path, capsys,
                                            monkeypatch):
         calls = []

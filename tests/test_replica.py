@@ -70,6 +70,8 @@ def test_attributes_fit_the_shared_layout():
     for cls in (Replica, EquivocatingReplica):
         replica, _ = make_replica(cls=cls)
         assert len(vars(replica)) < 30
+        # The view-change unit is slotted: no attribute dict to outgrow.
+        assert not hasattr(replica.vc, "__dict__")
 
 
 def test_subclass_handler_overrides_are_called():
@@ -500,7 +502,7 @@ class TestViewChange:
         heads = engine.of_kind(MsgKind.PRE_PREPARE)
         assert len(heads) == 1
         assert heads[0].view == 1 and heads[0].digest == digest
-        assert leader.frozen_seqs == {1}
+        assert leader.vc.frozen_seqs == {1}
 
     def test_assembly_frozen_until_carryover_commits(self):
         digest = block_digest(1, [(0, 0), (0, 1)])
@@ -519,7 +521,7 @@ class TestViewChange:
                                       recipient=None, view=1, seq=1,
                                       digest=digest), 3)
         assert leader.entries[1].committed
-        assert not leader.frozen_seqs
+        assert not leader.vc.frozen_seqs
         heads = engine.of_kind(MsgKind.PRE_PREPARE)
         assert len(heads) == 2 and heads[-1].seq == 2
 
@@ -535,7 +537,7 @@ class TestViewChange:
         leader.committed_ids.update(entry.tx_ids)
         leader.on_message(vc_vote(2, 1), 0)
         leader.on_message(vc_vote(3, 1), 1)
-        assert leader.hole_seqs == {1}
+        assert leader.vc.hole_seqs == {1}
         assert leader.next_seq == 3
         feed_block(leader, [tx(1, 10), tx(1, 11)])
         heads = engine.of_kind(MsgKind.PRE_PREPARE)
@@ -580,7 +582,7 @@ class TestViewChange:
         backup, _ = make_replica(node=2, n=4)
         created_us = 1_000_001
         backup.on_transaction(tx(2, 0, at=created_us / 1_000_000), created_us)
-        assert backup._vc_deadline(created_us) == created_us + 30_000_000
+        assert backup.vc.deadline(backup) == created_us + 30_000_000
 
     def test_new_view_from_wrong_sender_ignored(self):
         backup, _ = make_replica(node=3, n=4)

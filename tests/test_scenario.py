@@ -260,15 +260,19 @@ class TestRun:
 
 
 class TestRunGraph:
-    @pytest.mark.parametrize("config", [
-        quick(latency_dist="uniform", latency_mean_s=0.01),
-        quick(nodes=7, equivocators=(0,), crashes=((3, 30.0),)),
+    @pytest.mark.parametrize("config, changes_view", [
+        (quick(latency_dist="uniform", latency_mean_s=0.01), False),
+        # Changes view twice: the view-change units vote, lead, restart.
+        (quick(nodes=7, equivocators=(0,), crashes=((3, 30.0),)), True),
     ], ids=["plain", "equivocator-and-crash"])
-    def test_finished_run_is_freed_by_reference_counting(self, config):
+    def test_finished_run_is_freed_by_reference_counting(self, config,
+                                                         changes_view):
         was = gc.isenabled()
         gc.disable()
         try:
             result = run_scenario(config, trace=True)
+            assert any(r.view_adoptions
+                       for r in result.replicas) == changes_view
             engine = weakref.ref(result.engine)
             replicas = [weakref.ref(r) for r in result.replicas]
             del result

@@ -53,6 +53,21 @@ class TestSpec:
             parse_sweep_text(SWEEP_TEXT.replace("block_size", "crashes"))
         assert "sweepable" in str(err.value)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("values = 2,5", "values = 2,5,2", "axis 'block_size' repeats 2"),
+        ("axis = block_size\nvalues = 2,5",
+         "axis = generation_period_s\nvalues = 5,5.0",
+         "axis 'generation_period_s' repeats 5.0"),
+        ("values = 2,5", "values = 2,5\naxis2 = latency_dist\n"
+         "values2 = uniform,none,uniform",
+         "axis 'latency_dist' repeats 'uniform'"),
+    ], ids=["values", "values-same-float", "values2"])
+    def test_repeated_axis_value_rejected(self, old, new, message):
+        # Both runs would share one scenario id and one plotted curve.
+        with pytest.raises(ValueError) as err:
+            parse_sweep_text(SWEEP_TEXT.replace(old, new))
+        assert str(err.value) == f"<sweep>: {message}"
+
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError) as err:
             parse_sweep_text("axis = block_size\nnodes = 4\n")
