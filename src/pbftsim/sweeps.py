@@ -69,8 +69,8 @@ class SweepSpec:
         for axis, values in ((self.axis, self.values),
                              (self.axis2, self.values2)):
             # a repeated value would run twice under one scenario id
-            for value in values:
-                if values.count(value) > 1:
+            for i, value in enumerate(values):
+                if value in values[:i]:
                     raise ValueError(f"axis {axis!r} repeats {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
