@@ -77,7 +77,7 @@ from .wire import (
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
 
-__all__ = ["Entry", "Replica", "EquivocatingReplica", "ViewChange"]
+__all__ = ["Entry", "Replica", "EquivocatingReplica"]
 
 _ZERO_DIGEST = bytes(32)
 
