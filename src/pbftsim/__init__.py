@@ -21,7 +21,6 @@ from .wire import (
     prepare_quorum,
     commit_quorum,
     block_digest,
-    wire_size,
     encode,
     decode,
 )

@@ -57,9 +57,9 @@ sink the loop makes no trace call.
 
 A run's object graph is acyclic.  The engine owns its replicas, and a
 replica holds its engine through a weak reference, so keep the engine
-(or the run's ``RunResult``) alive while using a replica; a replica's
-message handlers are plain functions in a table on its class, not bound
-methods on the instance.  Reference counting therefore frees a finished
+(or the run's ``RunResult``) alive while using a replica; a replica
+calls its message handlers as methods and stores no bound method of
+itself or the engine.  Reference counting therefore frees a finished
 run as soon as its last reference goes, and ``Engine.run`` pauses the
 cyclic garbage collector while it runs, since there is nothing for it to
 find.

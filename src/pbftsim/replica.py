@@ -86,24 +86,12 @@ _ZERO_DIGEST = bytes(32)
 _VIEW_BOUND = frozenset({MsgKind.PRE_PREPARE, MsgKind.PREPARE,
                          MsgKind.COMMIT, MsgKind.RETRY_REQUEST})
 _VOTES = frozenset({MsgKind.PREPARE, MsgKind.COMMIT})
-_COMMIT = MsgKind.COMMIT  # enum member lookups are slow; every vote tests it
-
-# Handlers of the kinds that ``on_message`` does not count itself, by
-# name.  Each class keeps a table of its own functions, called with the
-# replica (``_handlers[kind](self, msg, now_us)``): a table of bound
-# methods on the instance would tie every replica into a cycle.
-_HANDLER_NAMES = {
-    MsgKind.TX_BROADCAST: "_on_tx",
-    MsgKind.CLIENT_REQUEST: "_on_relay",
-    MsgKind.PRE_PREPARE: "_on_pre_prepare",
-    MsgKind.RETRY_REQUEST: "_on_retry_request",
-    MsgKind.VIEW_CHANGE: "_on_view_change",
-    MsgKind.NEW_VIEW: "_on_new_view",
-}
-
-
-def _handler_table(cls) -> dict:
-    return {kind: getattr(cls, name) for kind, name in _HANDLER_NAMES.items()}
+# Enum member lookups are slow; ``on_message`` compares with these.
+_RELAY = MsgKind.CLIENT_REQUEST
+_TX = MsgKind.TX_BROADCAST
+_VIEW_CHANGE = MsgKind.VIEW_CHANGE
+_PRE_PREPARE = MsgKind.PRE_PREPARE
+_COMMIT = MsgKind.COMMIT
 
 # Sequence window: how many announced-but-uncommitted slots the
 # primary may have open.  Wide enough that only runaway overload ever
@@ -153,14 +141,6 @@ class Entry:
 
 
 class Replica:
-    # Each class's handler table; a subclass builds its own, so its
-    # overrides are the ones called.
-    _handlers: dict
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._handlers = _handler_table(cls)
-
     # CPython shares a compact attribute layout among instances of at
     # most 29 attributes; a 30th slowed a 30-node implant run by 2.5%
     # (Python 3.11, 2-core x86-64 VM).  Keep the count under 30; it is
@@ -271,7 +251,15 @@ class Replica:
     def on_message(self, msg: Message, now_us: int) -> None:
         kind = msg.kind
         if kind not in _VIEW_BOUND:
-            self._handlers[kind](self, msg, now_us)
+            # Relays first: they are most of the traffic that is not a vote.
+            if kind == _RELAY:
+                self._on_relay(msg, now_us)
+            elif kind == _TX:
+                self._on_tx(msg, now_us)
+            elif kind == _VIEW_CHANGE:
+                self._on_view_change(msg, now_us)
+            else:  # NEW_VIEW
+                self._on_new_view(msg, now_us)
             return
         view = msg.view
         if view > self.view:
@@ -283,7 +271,10 @@ class Replica:
             # part in rounds of the view we are abandoning.
             return
         if kind not in _VOTES:
-            self._handlers[kind](self, msg, now_us)
+            if kind == _PRE_PREPARE:
+                self._on_pre_prepare(msg, now_us)
+            else:  # RETRY_REQUEST
+                self._on_retry_request(msg, now_us)
             return
         # A PREPARE or COMMIT vote, handled here: votes are most of the
         # traffic, and most of them cannot move their slot.
@@ -608,9 +599,6 @@ class Replica:
         self.vc.arm(self, now_us)
 
 
-Replica._handlers = _handler_table(Replica)
-
-
 class ViewChange:
     """One replica's view-change state and steps (module docstring)."""
 
@@ -723,7 +711,8 @@ class ViewChange:
             digest, ref = reports[seq]
             entry = replica.entries.get(seq)
             if entry is None:
-                entry = replica._open(Entry(seq, target, digest, ref, now_us))
+                # Opened below, with every other uncommitted slot.
+                entry = Entry(seq, target, digest, ref, now_us)
             # Committed entries are re-announced too: peers that hold
             # them answer with a commit vouch, which helps laggards.
             if not entry.committed:

@@ -268,7 +268,6 @@ def emit_plot_data(result: SweepResult) -> str:
 class LoadPoint:
     nodes: int
     load: float
-    report: MetricsReport
 
 
 @dataclass
@@ -299,8 +298,7 @@ def run_load_study(base: ScenarioConfig, nodes: tuple) -> LoadStudy:
     spec = SweepSpec(name="load-study", base=base, axis="nodes",
                      values=tuple(nodes))
     points = [LoadPoint(nodes=run.axis_value,
-                        load=max(row["load"] for row in run.report.nodes),
-                        report=run.report)
+                        load=max(row["load"] for row in run.report.nodes))
               for run in run_sweep(spec).runs]
     slope, intercept, saturation, warning = fit_load_curve(
         [(p.nodes, p.load) for p in points])

@@ -52,8 +52,6 @@ __all__ = [
     "commit_quorum",
     "block_digest",
     "block_ref_from_digest",
-    "wire_size",
-    "frame_size",
     "encode",
     "decode",
     "HEADER_SIZE",
@@ -99,20 +97,8 @@ _HEAD = struct.Struct("<BBII64s")   # header, sender lo, recipient lo, signature
 _MID = struct.Struct("<IQIQQ")      # tx type, block ref, timestamp, node id, view
 _TAIL = struct.Struct("<QQ")        # client request, seq
 
-# Fixed field block: name -> width in bytes, in frame order.
-FIXED_FIELDS = (
-    ("sender_lo", 4),
-    ("recipient_lo", 4),
-    ("signature", SIGNATURE_SIZE),
-    ("tx_type", 4),
-    ("block_ref", 8),
-    ("timestamp", 4),
-    ("node_id", 8),
-    ("view", 8),
-    ("client_request", 8),
-    ("seq", 8),
-)
-# Read off the struct layouts, so it cannot drift from the codec: 120.
+# The fixed field block (module docstring), read off the struct
+# layouts so it cannot drift from the codec: 120.
 FIXED_FIELDS_SIZE = _HEAD.size + _MID.size + _TAIL.size - HEADER_SIZE
 
 _FLAG_TX = 0x01
@@ -201,8 +187,9 @@ class Message:
     32 bits, kept for the frame layout only.  ``recipient`` is a node
     id or ``BROADCAST`` (None).  ``timestamp`` is the raw 4-byte field
     (milliseconds for most kinds, block position for relays).
-    ``size`` is the frame size, fixed when the message is built; it
-    takes no part in equality.
+    ``size`` is the frame size in bytes, header included (the length
+    of ``encode(msg)``), fixed when the message is built; it takes no
+    part in equality.
     """
 
     kind: MsgKind
@@ -219,7 +206,8 @@ class Message:
     size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # ``frame_size`` spelt out: every message built pays for this.
+        # The only place a frame is sized: header, fixed fields, then
+        # the digest or the payload.
         tx = self.tx
         if tx is None:
             self.size = _DIGEST_FRAME_SIZE
@@ -228,21 +216,6 @@ class Message:
         if self.client_request == 0:
             self.client_request = (tx.origin << 32) | tx.counter
         self.size = _TX_FRAME_BASE + tx.payload_size
-
-
-def wire_size(msg: Message) -> int:
-    """Size in bytes of the frame body (fixed fields + variable part).
-
-    The 2-byte frame header is accounted separately; see frame_size.
-    """
-    if msg.tx is not None:
-        return FIXED_FIELDS_SIZE + msg.tx.payload_size
-    return FIXED_FIELDS_SIZE + DIGEST_SIZE
-
-
-def frame_size(msg: Message) -> int:
-    """Total bytes on the wire, header included."""
-    return HEADER_SIZE + wire_size(msg)
 
 
 def _check_range(name: str, value: int, maximum: int) -> None:

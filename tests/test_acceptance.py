@@ -24,8 +24,8 @@ from pbftsim.wire import (
     MsgKind,
     Transaction,
     commit_quorum,
+    encode,
     fault_tolerance,
-    wire_size,
 )
 
 pytestmark = pytest.mark.slow
@@ -112,7 +112,7 @@ def test_commit_stream_resumes_after_primary_crash():
 def test_wire_size_goldens():
     protocol = Message(kind=MsgKind.PREPARE, sender=1, recipient=None,
                        view=0, seq=1, digest=bytes(DIGEST_SIZE))
-    assert wire_size(protocol) == 152
+    assert protocol.size == 2 + 152 == len(encode(protocol))
 
     def tx_msg(payload_size):
         tx = Transaction(origin=2, counter=9, payload_size=payload_size,
@@ -120,8 +120,9 @@ def test_wire_size_goldens():
         return Message(kind=MsgKind.TX_BROADCAST, sender=2, recipient=0,
                        view=0, seq=0, tx=tx, timestamp=500)
 
-    assert wire_size(tx_msg(1000)) == 1120
-    assert wire_size(tx_msg(16)) == 136
+    for payload, body in ((1000, 1120), (16, 136)):
+        msg = tx_msg(payload)
+        assert msg.size == 2 + body == len(encode(msg))
 
 
 # -------------------------------------------------------------- retry count
@@ -181,7 +182,7 @@ def crossover_run(seed):
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND: fork after a view change. Live ledgers of 57-254 blocks are "
     "not prefixes of one chain, and some commit a tx twice. Likely cause: "
-    "_vote_view_change reports only uncommitted entries, so _lead_view "
+    "ViewChange.vote reports only uncommitted entries, so ViewChange.lead "
     "refills a height that peers committed with a different block."))
 def test_no_fork_after_view_changes():
     alive = crossover_run(3)

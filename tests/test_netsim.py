@@ -18,7 +18,7 @@ from pbftsim.netsim import (
     TimerKind,
     to_us,
 )
-from pbftsim.wire import Message, MsgKind, Transaction, frame_size
+from pbftsim.wire import Message, MsgKind, Transaction
 
 
 def profile(rate=10_000_000, cost=0.0, buffer=8192, payload=1000):
@@ -229,7 +229,7 @@ def test_protocol_frame_transit_time_at_10mbps():
     # wire, and transit is pure serialisation (zero propagation).
     eng, recs = make_engine()
     msg = prepare_msg()
-    assert frame_size(msg) == 154
+    assert msg.size == 154
     eng.send(0, 1, msg)
     eng.run(1.0)
     (arrived_us, _), = recs[1].messages

@@ -74,18 +74,40 @@ def test_attributes_fit_the_shared_layout():
         assert not hasattr(replica.vc, "__dict__")
 
 
-def test_subclass_handler_overrides_are_called():
-    class Holding(Replica):
-        def _on_tx(self, msg, now_us):
-            self.held = (msg, now_us)
+# The handler ``on_message`` calls for each kind it does not count itself.
+NON_VOTE_HANDLERS = {
+    MsgKind.TX_BROADCAST: "_on_tx",
+    MsgKind.CLIENT_REQUEST: "_on_relay",
+    MsgKind.PRE_PREPARE: "_on_pre_prepare",
+    MsgKind.RETRY_REQUEST: "_on_retry_request",
+    MsgKind.VIEW_CHANGE: "_on_view_change",
+    MsgKind.NEW_VIEW: "_on_new_view",
+}
 
-    replica, _ = make_replica(node=2, cls=Holding)
-    fwd = Message(kind=MsgKind.TX_BROADCAST, sender=1, recipient=2,
-                  view=0, seq=0, tx=tx(1, 0))
-    replica.on_message(fwd, 7)
-    assert replica.held == (fwd, 7)
-    assert replica.mempool == {}
-    assert Replica._handlers[MsgKind.TX_BROADCAST] is Replica._on_tx
+
+@pytest.mark.parametrize("kind", list(NON_VOTE_HANDLERS),
+                         ids=lambda k: k.name)
+def test_subclass_handler_overrides_are_called(kind):
+    calls = []
+
+    def record(self, msg, now_us):
+        calls.append((msg, now_us))
+
+    Recording = type("Recording", (Replica,),
+                     {NON_VOTE_HANDLERS[kind]: record})
+    replica, _ = make_replica(node=2, cls=Recording)
+    if kind in (MsgKind.TX_BROADCAST, MsgKind.CLIENT_REQUEST):
+        msg = Message(kind=kind, sender=0, recipient=2, view=0, seq=1,
+                      tx=tx(0, 0))
+    else:
+        view = 1 if kind in (MsgKind.VIEW_CHANGE, MsgKind.NEW_VIEW) else 0
+        msg = Message(kind=kind, sender=1, recipient=None, view=view,
+                      seq=1, digest=bytes(32))
+    replica.on_message(msg, 7)
+    assert calls == [(msg, 7)]
+    # The base handler did not run as well.
+    assert replica.mempool == {} and replica.entries == {}
+    assert replica.view == 0 and not replica.vc.votes
 
 
 # ----------------------------------------------------------- proposing
@@ -503,6 +525,9 @@ class TestViewChange:
         assert len(heads) == 1
         assert heads[0].view == 1 and heads[0].digest == digest
         assert leader.vc.frozen_seqs == {1}
+        # The age heap holds one entry per open slot.
+        assert leader._open_by_age == [leader.entries[1]]
+        assert leader.open_seqs == {1}
 
     def test_assembly_frozen_until_carryover_commits(self):
         digest = block_digest(1, [(0, 0), (0, 1)])
@@ -583,6 +608,52 @@ class TestViewChange:
         created_us = 1_000_001
         backup.on_transaction(tx(2, 0, at=created_us / 1_000_000), created_us)
         assert backup.vc.deadline(backup) == created_us + 30_000_000
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "frozen slots outlive the view that froze them: a leader deposed "
+        "before its carried slot commits keeps it in frozen_seqs and "
+        "proposes nothing on its next turn as primary (FOUND line, "
+        "ROADMAP item 2)"))
+    def test_deposed_leader_proposes_on_its_next_turn(self):
+        digest = block_digest(1, [(0, 0), (0, 1)])
+        leader, engine = make_replica(node=1, n=4, block=2)
+        leader.on_message(vc_vote(2, 1, seq=1, digest=digest), 0)
+        leader.on_message(vc_vote(3, 1, seq=1, digest=digest), 1)
+        assert leader.view == 1 and leader.vc.frozen_seqs == {1}
+        nv = Message(kind=MsgKind.NEW_VIEW, sender=2, recipient=None,
+                     view=2, seq=0, digest=bytes(32))
+        leader.on_message(nv, 2)  # deposed before slot 1 commits
+        assert leader.view == 2 and not leader.entries[1].committed
+        leader.on_message(vc_vote(2, 5), 3)
+        leader.on_message(vc_vote(3, 5), 4)
+        assert leader.view == 5 and leader.is_primary
+        feed_block(leader, [tx(1, 10), tx(1, 11)], now_us=5)
+        heads = [m for m in engine.of_kind(MsgKind.PRE_PREPARE)
+                 if m.view == 5]
+        assert heads  # a new block in view 5
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a slot closed by a view change before its announcement arrived "
+        "never votes again: _get_or_create binds the digest of a "
+        "current-view PRE_PREPARE to a relay-only slot without reopening "
+        "it (FOUND line, ROADMAP item 2)"))
+    def test_closed_relay_slot_prepares_on_new_announcement(self):
+        _, head, relays = primary_announcement(n=4, block=2)
+        backup, engine = make_replica(node=2, n=4, block=2)
+        for r in relays:
+            backup.on_message(r, 0)  # the view-0 announcement is lost
+        nv = Message(kind=MsgKind.NEW_VIEW, sender=1, recipient=None,
+                     view=1, seq=0, digest=bytes(32))
+        backup.on_message(nv, 1)
+        assert backup.view == 1 and 1 not in backup.open_seqs
+        engine.clear()
+        reannounce = Message(kind=MsgKind.PRE_PREPARE, sender=1,
+                             recipient=None, view=1, seq=1,
+                             digest=head.digest, block_ref=head.block_ref)
+        backup.on_message(reannounce, 2)
+        assert backup.entries[1].content_ok  # the content verifies
+        prepares = engine.of_kind(MsgKind.PREPARE)
+        assert [(m.view, m.seq) for m in prepares] == [(1, 1)]
 
     def test_new_view_from_wrong_sender_ignored(self):
         backup, _ = make_replica(node=3, n=4)
@@ -683,7 +754,7 @@ class EveryVoteAdvances:
                 and msg.view <= self.view):
             return
         if msg.kind not in (MsgKind.PREPARE, MsgKind.COMMIT):
-            self._handlers[msg.kind](self, msg, now_us)
+            Replica.on_message(self, msg, now_us)
             return
         if msg.view < self.view:
             return

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from pbftsim.wire import (
     BROADCAST,
     DIGEST_SIZE,
-    FIXED_FIELDS,
     FIXED_FIELDS_SIZE,
     HEADER_SIZE,
     EncodeError,
@@ -33,9 +32,7 @@ from pbftsim.wire import (
     decode,
     encode,
     fault_tolerance,
-    frame_size,
     prepare_quorum,
-    wire_size,
 )
 
 GOLDENS = Path(__file__).parent / "data" / "wire_goldens.json"
@@ -54,6 +51,15 @@ EXPECTED_WIDTHS = {
     "client_request": 8,
     "seq": 8,
 }
+FIELDS = sum(EXPECTED_WIDTHS.values())
+HEADER = 2  # kind tag and presence flags
+
+
+def expected_size(msg):
+    """Frame size from the documented layout: header, fixed fields,
+    then the payload or the digest."""
+    variable = msg.tx.payload_size if msg.tx is not None else 32
+    return HEADER + FIELDS + variable
 
 
 def make_protocol_msg(**overrides):
@@ -112,29 +118,33 @@ def test_quorum_invariants(n):
 # ------------------------------------------------------------ wire sizes
 
 def test_fixed_field_block_is_120_bytes():
-    assert dict(FIXED_FIELDS) == EXPECTED_WIDTHS
-    assert FIXED_FIELDS_SIZE == sum(EXPECTED_WIDTHS.values()) == 120
-    assert sum(w for _, w in FIXED_FIELDS) == FIXED_FIELDS_SIZE
+    assert FIXED_FIELDS_SIZE == FIELDS == 120
 
 
 def test_protocol_message_body_is_152_bytes():
-    assert wire_size(make_protocol_msg()) == 120 + 32 == 152
+    msg = make_protocol_msg()
+    assert msg.size - HEADER == 120 + 32 == 152
+    assert msg.size == expected_size(msg) == len(encode(msg))
 
 
 def test_default_transaction_body_is_1120_bytes():
-    assert wire_size(make_tx_msg(payload_size=1000)) == 120 + 1000 == 1120
+    msg = make_tx_msg(payload_size=1000)
+    assert msg.size - HEADER == 120 + 1000 == 1120
+    assert msg.size == expected_size(msg) == len(encode(msg))
 
 
 def test_short_payload_transaction_body_is_136_bytes():
-    assert wire_size(make_tx_msg(payload_size=16)) == 120 + 16 == 136
+    msg = make_tx_msg(payload_size=16)
+    assert msg.size - HEADER == 120 + 16 == 136
+    assert msg.size == expected_size(msg) == len(encode(msg))
 
 
 def test_frame_adds_two_header_bytes():
-    for msg in (make_protocol_msg(), make_tx_msg()):
+    for msg, body in ((make_protocol_msg(), 152), (make_tx_msg(), 1120)):
         frame = encode(msg)
-        assert len(frame) == wire_size(msg) + 2
-        assert frame_size(msg) == len(frame)
-    assert HEADER_SIZE == 2
+        assert len(frame) == msg.size == body + 2
+        assert frame[0] == msg.kind
+    assert HEADER_SIZE == HEADER
 
 
 TX_CARRIERS = {MsgKind.TX_BROADCAST, MsgKind.CLIENT_REQUEST}
@@ -149,7 +159,7 @@ def test_cached_size_is_the_frame_size(kind, carries_tx, payload):
         msg = make_tx_msg(payload_size=payload, kind=kind)
     else:
         msg = make_protocol_msg(kind=kind)
-    assert msg.size == frame_size(msg)
+    assert msg.size == expected_size(msg)
     if carries_tx == (kind in TX_CARRIERS):
         assert msg.size == len(encode(msg))
     else:
@@ -180,9 +190,9 @@ def message_from_golden(entry):
                          ids=lambda e: e["name"])
 def test_golden_encode(entry):
     msg = message_from_golden(entry)
-    assert wire_size(msg) == entry["body_size"]
     assert encode(msg).hex() == entry["frame_hex"]
-    assert msg.size == frame_size(msg) == len(encode(msg))
+    assert msg.size == HEADER + entry["body_size"] == len(encode(msg))
+    assert msg.size == expected_size(msg)
 
 
 @pytest.mark.parametrize("entry", golden_entries(),
@@ -247,7 +257,7 @@ def tx_messages():
 @given(st.one_of(protocol_messages(), tx_messages()))
 def test_codec_round_trip(msg):
     frame = encode(msg)
-    assert msg.size == frame_size(msg) == len(frame)
+    assert msg.size == expected_size(msg) == len(frame)
     copy = decode(frame)
     assert copy == msg
     assert encode(copy) == frame
