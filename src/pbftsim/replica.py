@@ -22,6 +22,13 @@ the current view vote.  A committed block joins the ledger in height
 order, stamped with the time it joined (``Entry.appended_us``); the
 replica records when, and ``metrics`` bins the stamps into minutes.
 
+A slot's votes are int bitmasks while it votes: bit i of
+``Entry.prepares`` or ``Entry.commits`` is set once node i has voted,
+and ``int.bit_count`` counts a quorum.  On commit, ``commits`` freezes
+into the block's certificate, the ascending tuple of its commit voters,
+and ``prepares`` drops to 0.  So the vote state of a run holds no set,
+and no container the garbage collector has to track while it votes.
+
 A replica reads n, the block size and its two timer periods from the
 run's (validated) ``ScenarioConfig`` once, at construction.
 
@@ -101,7 +108,12 @@ MAX_INFLIGHT = 256
 
 @dataclass(slots=True)
 class Entry:
-    """One block slot in the log and its per-view vote state."""
+    """One block slot in the log and its per-view vote state.
+
+    ``prepares`` and ``commits`` are bitmasks of voters (bit i for node
+    i) while the slot votes.  Once it commits, ``commits`` is the
+    ascending tuple of commit voters, its certificate, and ``prepares``
+    is 0."""
 
     seq: int
     view: int
@@ -112,8 +124,8 @@ class Entry:
     tx_ids: list | None = None
     pre_prepared: bool = False
     content_ok: bool = False
-    prepares: set = field(default_factory=set)
-    commits: set = field(default_factory=set)
+    prepares: int = 0
+    commits: int | tuple = 0
     sent_commit: bool = False
     committed: bool = False
     appended_us: int | None = None  # when the block joined the ledger
@@ -135,8 +147,8 @@ class Entry:
             self.pre_prepared = False
             self.content_ok = False
         self.view = view
-        self.prepares = set()
-        self.commits = set()
+        self.prepares = 0
+        self.commits = 0
         self.sent_commit = False
 
 
@@ -289,22 +301,27 @@ class Replica:
             entry = self._get_or_create(msg, now_us)
             if entry is None or view < entry.view:
                 return
+        bit = 1 << msg.sender
         prepares = entry.prepares
-        votes = entry.commits if kind == _COMMIT else prepares
-        sender = msg.sender
-        if sender in votes:
+        if kind == _COMMIT:
+            commits = entry.commits
+            if commits & bit:
+                self.duplicates += 1
+                return
+            entry.commits = commits | bit
+        elif prepares & bit:
             self.duplicates += 1
             return
-        votes.add(sender)
         # A commit vote implies the sender prepared; count it there
         # too so a round of mostly already-committed peers can still
         # reach the prepare quorum.
-        prepares.add(sender)
+        entry.prepares = prepares = prepares | bit
         # ``_advance`` acts only under one of these three conditions, so
         # a vote that meets none of them leaves the slot where it is.
-        if ((entry.pre_prepared and self.node not in prepares)
-                or (len(entry.commits) >= self.commit_q if entry.sent_commit
-                    else len(prepares) >= self.prepare_q)):
+        if ((entry.pre_prepared and not prepares >> self.node & 1)
+                or (entry.commits.bit_count() >= self.commit_q
+                    if entry.sent_commit
+                    else prepares.bit_count() >= self.prepare_q)):
             self._advance(entry, now_us)
 
     # ------------------------------------------------------ transactions
@@ -356,7 +373,7 @@ class Replica:
             entry = self._open(Entry(
                 seq, self.view, digest, block_ref_from_digest(digest), now_us,
                 content=dict(enumerate(txs)), tx_ids=tx_ids,
-                pre_prepared=True, content_ok=True, prepares={self.node}))
+                pre_prepared=True, content_ok=True, prepares=1 << self.node))
             self._announce(entry, now_us)
             vc.arm(self, now_us)
 
@@ -456,9 +473,10 @@ class Replica:
                        entry.block_ref, now_us)
             return
         entry.pre_prepared = True
-        if msg.sender in entry.prepares:
+        bit = 1 << msg.sender
+        if entry.prepares & bit:
             self.duplicates += 1
-        entry.prepares.add(msg.sender)
+        entry.prepares |= bit
         self._refresh_content(entry)
         self._advance(entry, now_us)
         if msg.seq >= self.next_seq:
@@ -472,23 +490,28 @@ class Replica:
         current view vote."""
         if (entry.view == self.view and entry.content_ok
                 and entry.seq in self.open_seqs):
-            me = self.node
-            if entry.pre_prepared and me not in entry.prepares:
-                entry.prepares.add(me)
+            me = 1 << self.node
+            if entry.pre_prepared and not entry.prepares & me:
+                entry.prepares |= me
                 self._send(MsgKind.PREPARE, entry.view, entry.seq,
                            entry.digest, entry.block_ref, now_us)
-            if (not entry.sent_commit and me in entry.prepares
-                    and len(entry.prepares) >= self.prepare_q):
+            if (not entry.sent_commit and entry.prepares & me
+                    and entry.prepares.bit_count() >= self.prepare_q):
                 entry.sent_commit = True
-                entry.commits.add(me)
+                entry.commits |= me
                 self._send(MsgKind.COMMIT, entry.view, entry.seq,
                            entry.digest, entry.block_ref, now_us)
         if (entry.sent_commit and not entry.committed
-                and len(entry.commits) >= self.commit_q):
+                and entry.commits.bit_count() >= self.commit_q):
             self._commit(entry, now_us)
 
     def _commit(self, entry: Entry, now_us: int) -> None:
         entry.committed = True
+        # Late votes on a committed slot are ignored, so its votes
+        # freeze into the block's certificate.
+        commits = entry.commits
+        entry.commits = tuple([i for i in range(self.n) if commits >> i & 1])
+        entry.prepares = 0
         self.open_seqs.discard(entry.seq)
         self.committed_ids.update(entry.tx_ids)
         for tid in entry.tx_ids:
@@ -550,7 +573,7 @@ class Replica:
         if entry.sent_commit or entry.committed:
             self._send(MsgKind.COMMIT, entry.view, entry.seq, entry.digest,
                        entry.block_ref, now_us, requester)
-        elif self.node in entry.prepares:
+        elif entry.prepares >> self.node & 1:
             self._send(MsgKind.PREPARE, entry.view, entry.seq, entry.digest,
                        entry.block_ref, now_us, requester)
         if entry.content_ok:
@@ -669,8 +692,8 @@ class ViewChange:
         reports = set()
         for entry in replica.entries.values():
             if (not entry.committed and entry.digest is not None
-                    and replica.node in entry.prepares
-                    and len(entry.prepares) >= replica.prepare_q):
+                    and entry.prepares >> replica.node & 1
+                    and entry.prepares.bit_count() >= replica.prepare_q):
                 reports.add((entry.seq, entry.digest, entry.block_ref))
         # A baseline vote, then one per prepared entry.
         for seq, digest, ref in [(0, _ZERO_DIGEST, 0), *sorted(reports)]:
@@ -718,7 +741,7 @@ class ViewChange:
             if not entry.committed:
                 entry.rebind(target, digest, ref)
                 entry.pre_prepared = True
-                entry.prepares = {replica.node}
+                entry.prepares = 1 << replica.node
                 replica._open(entry)
                 self.frozen_seqs.add(seq)
                 replica._refresh_content(entry)

@@ -5,6 +5,7 @@ be driven message by message; scenario-level behaviour (full runs) is
 covered in test_scenario.py.
 """
 
+import gc
 from operator import attrgetter
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from pbftsim.netsim import TimerKind
 from pbftsim.replica import MAX_INFLIGHT, EquivocatingReplica, Entry, Replica
 from pbftsim.scenario import ScenarioConfig
-from pbftsim.wire import Message, MsgKind, Transaction, block_digest
+from pbftsim.wire import (Message, MsgKind, Transaction, block_digest,
+                          commit_quorum)
 
 
 class FakeEngine:
@@ -43,6 +45,11 @@ def make_replica(node=0, n=4, block=2, cls=Replica):
     replica = cls(node, engine, config)
     replica.start()
     return replica, engine
+
+
+def voters(mask):
+    """The node ids whose bits are set in a vote mask."""
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
 def tx(origin, counter, at=0.0):
@@ -132,7 +139,7 @@ class TestProposal:
     def test_primary_counts_itself_prepared(self):
         primary, _, _ = primary_announcement()
         entry = primary.entries[1]
-        assert entry.prepares == {0}
+        assert voters(entry.prepares) == {0}
         assert entry.content_ok and entry.pre_prepared
 
     def test_backup_forwards_transactions_to_primary(self):
@@ -304,7 +311,7 @@ class TestQuorums:
                        block_ref=head.block_ref)
         backup.on_message(vote, 1)
         backup.on_message(vote, 2)
-        assert backup.entries[1].prepares == {0, 2}
+        assert voters(backup.entries[1].prepares) == {0, 2}
         assert backup.duplicates == 1
 
     def test_ledger_waits_for_gap(self):
@@ -764,13 +771,16 @@ class EveryVoteAdvances:
         entry = self._get_or_create(msg, now_us)
         if entry is None or msg.view < entry.view:
             return
-        votes = (entry.commits if msg.kind == MsgKind.COMMIT
-                 else entry.prepares)
-        if msg.sender in votes:
+        bit = 1 << msg.sender
+        if msg.kind == MsgKind.COMMIT:
+            if entry.commits & bit:
+                self.duplicates += 1
+                return
+            entry.commits |= bit
+        elif entry.prepares & bit:
             self.duplicates += 1
             return
-        votes.add(msg.sender)
-        entry.prepares.add(msg.sender)
+        entry.prepares |= bit
         self._advance(entry, now_us)
 
 
@@ -819,6 +829,30 @@ def test_vote_fast_path_matches_advancing_every_vote(name, monkeypatch):
     assert all(isinstance(r, EveryVoteAdvances) for r in slow.replicas)
     assert fast.trace_hash == slow.trace_hash
     assert render_report(fast.report) == render_report(slow.report)
+
+
+@pytest.mark.parametrize("name", sorted(VOTE_CELLS))
+def test_votes_are_masks_and_commits_freeze_a_certificate(name):
+    from pbftsim import scenario
+
+    config = VOTE_CELLS[name]
+    result = scenario.run_scenario(config)
+    n = config.nodes
+    for replica in result.replicas:
+        for height in replica.ledger:
+            cert = replica.entries[height].commits
+            assert type(cert) is tuple
+            assert list(cert) == sorted(set(cert))
+            assert all(0 <= i < n for i in cert)
+            assert len(cert) >= commit_quorum(n)
+        for entry in replica.entries.values():
+            if entry.committed:
+                assert entry.prepares == 0
+            else:
+                assert type(entry.prepares) is int
+                assert type(entry.commits) is int
+                assert not gc.is_tracked(entry.prepares)
+                assert not gc.is_tracked(entry.commits)
 
 
 # ---------------------------------------------- retry index, differential

@@ -238,6 +238,30 @@ class TestRun:
             for height in r.ledger:
                 assert len(r.entries[height].commits) >= 5  # 2f+1 at n=7
 
+    # Packets the closed form predicts, counted by hand: 96, 420 and
+    # 300 blocks of 480, 840 and 1200 txs.
+    @pytest.mark.parametrize("nodes, block, packets", [
+        (4, 5, 4_104), (7, 2, 41_040), (10, 4, 65_880)])
+    def test_fault_free_traffic_matches_closed_form(self, nodes, block,
+                                                    packets):
+        # With no loss, retry or view change, each block of b txs costs
+        # (n-1)(2n+b) copies: one announce, b relays, n-1 prepares and
+        # n commits, each to n-1 peers; and each tx a backup generates
+        # is forwarded once to the primary.
+        period_s, duration_s = 5.0, 600
+        res = run_scenario(quick(nodes=nodes, block_size=block,
+                                 generation_period_s=period_s,
+                                 duration_s=duration_s))
+        txs = nodes * int(duration_s // period_s)
+        blocks = txs // block
+        assert all(len(r.ledger) == blocks for r in res.replicas)
+        predicted = ((nodes - 1) * (2 * nodes + block) * blocks
+                     + txs * (nodes - 1) // nodes)
+        assert predicted == packets
+        assert res.engine.sent_packets == packets
+        assert res.engine.pending_arrivals() == 0
+        assert sum(res.engine.dropped) == 0
+
     @pytest.mark.xfail(strict=True, reason=(
         "FOUND: double commit. With 10 nodes, mcu32, block 5, period 2 s, "
         "900 s and crashes = 0@120, every live ledger commits tx (4,90) at "
