@@ -48,9 +48,6 @@ class MetricsReport:
     def minute_blocks(self) -> list[int]:
         return [blocks for _, blocks, _ in self.minutes]
 
-    def load(self, node: int) -> float:
-        return float(self.nodes[node]["load"])
-
     @property
     def avg_retries(self) -> float:
         return sum(row["retries"] for row in self.nodes) / len(self.nodes)

@@ -8,7 +8,8 @@ carrying only the digest, and ships the content as one relay message
 per transaction (its position travels in the timestamp field).
 Backups vote in the prepare round only once they hold the complete,
 digest-verified content, which guarantees that any prepared entry can
-be refetched from at least one live node.
+be refetched from at least one live node.  Verified content is
+``Entry.tx_ids`` being set.
 
 Each slot moves along one chain: pre-prepared with verified content,
 prepared, committed.  ``Replica._advance`` is the one place a slot
@@ -113,7 +114,8 @@ class Entry:
     ``prepares`` and ``commits`` are bitmasks of voters (bit i for node
     i) while the slot votes.  Once it commits, ``commits`` is the
     ascending tuple of commit voters, its certificate, and ``prepares``
-    is 0."""
+    is 0.  ``tx_ids`` is set exactly while the slot holds content
+    verified against its digest."""
 
     seq: int
     view: int
@@ -123,7 +125,6 @@ class Entry:
     content: dict[int, Transaction] = field(default_factory=dict)
     tx_ids: list | None = None
     pre_prepared: bool = False
-    content_ok: bool = False
     prepares: int = 0
     commits: int | tuple = 0
     sent_commit: bool = False
@@ -145,7 +146,6 @@ class Entry:
             self.content.clear()
             self.tx_ids = None
             self.pre_prepared = False
-            self.content_ok = False
         self.view = view
         self.prepares = 0
         self.commits = 0
@@ -373,7 +373,7 @@ class Replica:
             entry = self._open(Entry(
                 seq, self.view, digest, block_ref_from_digest(digest), now_us,
                 content=dict(enumerate(txs)), tx_ids=tx_ids,
-                pre_prepared=True, content_ok=True, prepares=1 << self.node))
+                pre_prepared=True, prepares=1 << self.node))
             self._announce(entry, now_us)
             vc.arm(self, now_us)
 
@@ -400,30 +400,29 @@ class Replica:
         if entry is None:
             entry = self._open(Entry(msg.seq, msg.view, None, msg.block_ref,
                                      now_us))
-        if entry.content_ok or pos in entry.content:
+        if entry.tx_ids is not None or pos in entry.content:
             self.duplicates += 1
             return
         entry.content[pos] = msg.tx
         # Until the block's last position arrives neither call can act:
         # ``_refresh_content`` needs all ``block_size`` positions, and
-        # ``_advance`` needs ``content_ok`` or ``sent_commit``.
-        # ``content_ok`` is false here, or the relay would have counted
-        # as a duplicate.  ``sent_commit`` implies ``content_ok``: only
-        # ``_advance`` sets it, and only on a slot with verified content,
-        # and ``rebind``, the one place that clears ``content_ok``,
-        # clears ``sent_commit`` too.
+        # ``_advance`` needs verified content (``tx_ids`` set) or
+        # ``sent_commit``.  ``tx_ids`` is unset here, or the relay would
+        # have counted as a duplicate.  ``sent_commit`` implies
+        # ``tx_ids``: only ``_advance`` sets it, and only on a slot with
+        # verified content, and ``rebind``, the one place that clears
+        # ``tx_ids``, clears ``sent_commit`` too.
         if len(entry.content) == self.block_size:
             self._refresh_content(entry)
             self._advance(entry, now_us)
 
     def _refresh_content(self, entry: Entry) -> None:
         b = self.block_size
-        if (entry.content_ok or not entry.pre_prepared
+        if (entry.tx_ids is not None or not entry.pre_prepared
                 or len(entry.content) < b):
             return
         ids = [entry.content[p].tx_id for p in range(b)]
         if block_digest(entry.seq, ids) == entry.digest:
-            entry.content_ok = True
             entry.tx_ids = ids
         else:
             entry.content.clear()
@@ -488,7 +487,7 @@ class Replica:
         is pre-prepared with verified content, our COMMIT at the prepare
         quorum, the commit at the commit quorum.  Only live slots of the
         current view vote."""
-        if (entry.view == self.view and entry.content_ok
+        if (entry.view == self.view and entry.tx_ids is not None
                 and entry.seq in self.open_seqs):
             me = 1 << self.node
             if entry.pre_prepared and not entry.prepares & me:
@@ -576,7 +575,7 @@ class Replica:
         elif entry.prepares >> self.node & 1:
             self._send(MsgKind.PREPARE, entry.view, entry.seq, entry.digest,
                        entry.block_ref, now_us, requester)
-        if entry.content_ok:
+        if entry.tx_ids is not None:
             held = msg.client_request
             missing = [pos for pos in range(len(entry.tx_ids))
                        if pos >= 64 or not (held >> pos) & 1]
@@ -600,8 +599,7 @@ class Replica:
             self._forward_tx(tx, self.primary_of(self.view), now_us)
 
     def _adopt_view(self, view: int, now_us: int) -> None:
-        if view <= self.view:
-            return
+        """Move to ``view``, which every caller has checked is newer."""
         self.view = view
         self.view_adoptions += 1
         self.vc_target = None
@@ -703,12 +701,11 @@ class ViewChange:
 
     def record(self, replica: Replica, voter: int, target: int, reports,
                now_us: int) -> None:
-        """Count a vote for ``target``, then join or lead the change if
-        the votes so far call for it."""
+        """Count a vote for ``target``, a view every caller has checked
+        is newer than ours, then join or lead the change if the votes so
+        far call for it."""
         voters = self.votes.setdefault(target, {})
         voters.setdefault(voter, set()).update(reports)
-        if target <= replica.view:
-            return
         # Join once f + 1 peers want this view (we will not be the
         # lone holdout keeping the old primary alive).
         if (len(voters) >= fault_tolerance(replica.n) + 1
@@ -747,7 +744,7 @@ class ViewChange:
                 replica._refresh_content(entry)
             replica._send(MsgKind.PRE_PREPARE, target, seq, entry.digest,
                           entry.block_ref, now_us)
-            if entry.content_ok and not entry.committed:
+            if entry.tx_ids is not None and not entry.committed:
                 replica._send_content(entry, None, range(len(entry.tx_ids)))
                 replica._advance(entry, now_us)
         # Proposal horizon restarts just past everything that was

@@ -21,7 +21,7 @@ from .replica import EquivocatingReplica, Replica
 from .workload import TransactionSource
 
 __all__ = ["ScenarioConfig", "RunResult", "parse_config", "parse_config_text",
-           "format_config", "run_scenario"]
+           "run_scenario"]
 
 
 @dataclass
@@ -32,12 +32,12 @@ class ScenarioConfig:
     device_profile: str = "mcu8"
     latency_dist: str = "none"
     latency_mean_s: float = 0.0
-    buffer_capacity_bytes: int | None = None
     duration_s: int = 1800
     retry_period_s: float = 10.0
     view_change_timeout_s: float = 30.0
     jitter: float = 0.0
     seed: int = 0
+    buffer_capacity_bytes: int | None = None
     # crash schedule: (node, at_s) pairs, applied once.
     crashes: tuple[tuple[int, float], ...] = ()
     # nodes that announce conflicting blocks instead of honest ones.
@@ -126,7 +126,7 @@ class ConfigKey(NamedTuple):
 
     parse: Callable[[str], object]
     show: Callable[[object], object]  # the value as the report echoes it
-    optional: bool  # left out of echo and format_config when unset
+    optional: bool  # left out of echo when unset
 
 
 # The non-scalar fields; every other field parses with its type.
@@ -151,9 +151,7 @@ def _config_keys() -> dict[str, ConfigKey]:
                          hint)
             show = float if parse is float else _as_is
         keys[f.name] = ConfigKey(parse, show, f.default in (None, ()))
-    # fields that are always present first, then the optional ones;
-    # the sort is stable, so each group keeps declaration order
-    return dict(sorted(keys.items(), key=lambda item: item[1].optional))
+    return keys
 
 
 CONFIG_KEYS = _config_keys()
@@ -203,15 +201,8 @@ def parse_config(path) -> ScenarioConfig:
     return parse_config_text(text, source=str(path))
 
 
-def format_config(config: ScenarioConfig) -> str:
-    """Inverse of parse_config_text for the keys the report echoes."""
-    return "".join(f"{key} = {format_value(value)}\n"
-                   for key, value in config.echo().items())
-
-
 @dataclass
 class RunResult:
-    config: ScenarioConfig
     report: MetricsReport
     engine: Engine = field(repr=False)
     replicas: list[Replica] = field(repr=False)
@@ -245,5 +236,5 @@ def run_scenario(config: ScenarioConfig, trace: bool = False) -> RunResult:
 
     engine.run(config.duration_s)
     report = finalize(engine, config.duration_s, config.echo())
-    return RunResult(config, report, engine, replicas,
+    return RunResult(report, engine, replicas,
                      sink.hexdigest() if trace else None)

@@ -59,13 +59,17 @@ class SweepSpec:
     repetitions: int = 1
 
     def __post_init__(self):
-        for axis in filter(None, (self.axis, self.axis2)):
-            if axis not in _AXES:
-                raise ValueError(f"axis {axis!r} is not sweepable")
+        for key, axis in (("axis", self.axis), ("axis2", self.axis2)):
+            if axis is not None and axis not in _AXES:
+                raise ValueError(f"{key} {axis!r} is not sweepable")
         if not self.values:
             raise ValueError("a sweep needs at least one axis value")
         if self.axis2 is not None and not self.values2:
             raise ValueError("second axis declared without values")
+        if self.axis2 is None and self.values2:
+            raise ValueError("values2 given without axis2")
+        if self.axis2 == self.axis:
+            raise ValueError(f"axis2 repeats axis {self.axis!r}")
         for axis, values in ((self.axis, self.values),
                              (self.axis2, self.values2)):
             # a repeated value would run twice under one scenario id
@@ -95,10 +99,11 @@ def parse_sweep_text(text: str, name: str = "sweep",
     sweep: dict = {}
     base_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        key = line.partition("=")[0].strip()
-        if key in _SWEEP_KEYS:
-            value = line.partition("=")[2].strip()
+        key, sep, value = raw.split("#", 1)[0].partition("=")
+        key = key.strip()
+        if sep and key in _SWEEP_KEYS:
+            # a key with no "=" is left to the base parser to reject
+            value = value.strip()
             if key in sweep:
                 raise ValueError(f"{source}:{lineno}: duplicate key {key!r}")
             sweep[key] = (lineno, value)
@@ -277,12 +282,6 @@ class LoadStudy:
     intercept: float | None
     saturation_nodes: float | None
     warning: str | None
-
-    def load_at(self, nodes: int) -> float:
-        for point in self.points:
-            if point.nodes == nodes:
-                return point.load
-        raise KeyError(nodes)
 
 
 def run_load_study(base: ScenarioConfig, nodes: tuple) -> LoadStudy:

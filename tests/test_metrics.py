@@ -118,7 +118,7 @@ class TestReport:
         engine = FakeEngine(1, 60)
         engine.busy_cpu_us[0] = 100_000_000
         report = finalize(engine, 60, {})
-        assert report.load(0) == 1.0
+        assert report.nodes[0]["load"] == 1.0
 
     def test_config_echo_serialized(self):
         report = small_report()

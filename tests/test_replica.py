@@ -140,7 +140,7 @@ class TestProposal:
         primary, _, _ = primary_announcement()
         entry = primary.entries[1]
         assert voters(entry.prepares) == {0}
-        assert entry.content_ok and entry.pre_prepared
+        assert entry.tx_ids is not None and entry.pre_prepared
 
     def test_backup_forwards_transactions_to_primary(self):
         backup, engine = make_replica(node=2, n=4)
@@ -181,7 +181,7 @@ class TestContentGate:
         assert engine.of_kind(MsgKind.PREPARE) == []
         backup.on_message(relays[1], 12)
         assert len(engine.of_kind(MsgKind.PREPARE)) == 1
-        assert backup.entries[1].content_ok
+        assert backup.entries[1].tx_ids is not None
 
     def test_relays_before_head_also_complete(self):
         _, head, relays = primary_announcement(n=7, block=2)
@@ -207,7 +207,7 @@ class TestContentGate:
         backup.on_message(swapped_a, 11)
         backup.on_message(swapped_b, 12)
         assert engine.of_kind(MsgKind.PREPARE) == []
-        assert not backup.entries[1].content_ok
+        assert backup.entries[1].tx_ids is None
 
     def test_duplicate_relay_counted(self):
         _, head, relays = primary_announcement(n=7, block=2)
@@ -658,7 +658,7 @@ class TestViewChange:
                              recipient=None, view=1, seq=1,
                              digest=head.digest, block_ref=head.block_ref)
         backup.on_message(reannounce, 2)
-        assert backup.entries[1].content_ok  # the content verifies
+        assert backup.entries[1].tx_ids is not None  # the content verifies
         prepares = engine.of_kind(MsgKind.PREPARE)
         assert [(m.view, m.seq) for m in prepares] == [(1, 1)]
 

@@ -8,8 +8,8 @@ import pytest
 
 from pbftsim.metrics import render_report
 from pbftsim.netsim import _EV_SERVICE
-from pbftsim.scenario import (ScenarioConfig, format_config, parse_config,
-                              parse_config_text, run_scenario)
+from pbftsim.scenario import (ScenarioConfig, parse_config, parse_config_text,
+                              run_scenario)
 
 FULL_CONFIG = """\
 # cluster
@@ -86,6 +86,8 @@ class TestParser:
             "latency_dist = pareto\n": "distribution",
             "jitter = 1.5\n": "jitter",
             "crashes = 9@10\n": "out of range",
+            "crashes = 1@-5\n": "crashes: crash time must be >= 0",
+            "equivocators = 4\n": "equivocators: node 4 out of range",
             "generation_period_s = 0\n": "generation_period_s",
             "jitter = 1.0\n": "jitter",
             "block_size = 0\n": "block_size",
@@ -100,17 +102,6 @@ class TestParser:
             with pytest.raises(ValueError) as err:
                 parse_config_text(text)
             assert needle in str(err.value), text
-
-    def test_format_round_trips(self):
-        every_optional = ScenarioConfig(
-            nodes=10, buffer_capacity_bytes=2048,
-            crashes=((0, 120.0), (3, 7.5)), equivocators=(1, 2))
-        for sc in (parse_config_text(FULL_CONFIG), every_optional):
-            assert parse_config_text(format_config(sc)) == sc
-        # keys always present in declaration order, then the optional
-        assert format_config(every_optional).splitlines()[-4:] == [
-            "seed = 0", "buffer_capacity_bytes = 2048",
-            "crashes = 0@120,3@7.5", "equivocators = 1,2"]
 
     def test_parse_file(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -54,19 +54,36 @@ class TestSpec:
         assert "sweepable" in str(err.value)
 
     @pytest.mark.parametrize("old, new, message", [
-        ("values = 2,5", "values = 2,5,2", "axis 'block_size' repeats 2"),
+        # A repeated value: both runs would share one scenario id and
+        # one plotted curve.
+        ("values = 2,5", "values = 2,5,2", ": axis 'block_size' repeats 2"),
         ("axis = block_size\nvalues = 2,5",
          "axis = generation_period_s\nvalues = 5,5.0",
-         "axis 'generation_period_s' repeats 5.0"),
+         ": axis 'generation_period_s' repeats 5.0"),
         ("values = 2,5", "values = 2,5\naxis2 = latency_dist\n"
          "values2 = uniform,none,uniform",
-         "axis 'latency_dist' repeats 'uniform'"),
-    ], ids=["values", "values-same-float", "values2"])
+         ": axis 'latency_dist' repeats 'uniform'"),
+        # Other malformed sweep keys, each named.
+        ("axis = block_size", "axis", ":1: expected key=value, got 'axis'"),
+        ("values = 2,5", "values = 2,5\nvalues2 = 1,2",
+         ": values2 given without axis2"),
+        ("values = 2,5", "values = 2,5\naxis2 = block_size\nvalues2 = 4,6",
+         ": axis2 repeats axis 'block_size'"),
+        ("values = 2,5", "values = 2,5\naxis2 = nodes",
+         ": second axis declared without values"),
+        ("repetitions = 2", "repetitions = 0", ": repetitions must be >= 1"),
+        ("values = 2,5", "values = 2,x", ":2: bad values: invalid literal "
+         "for int() with base 10: 'x'"),
+        ("repetitions = 2", "repetitions = 2\nrepetitions = 3",
+         ":4: duplicate key 'repetitions'"),
+    ], ids=["values", "values-same-float", "values2", "axis-without-equals",
+            "values2-without-axis2", "axis2-equals-axis",
+            "axis2-without-values2", "no-repetitions", "bad-values",
+            "duplicate-key"])
     def test_repeated_axis_value_rejected(self, old, new, message):
-        # Both runs would share one scenario id and one plotted curve.
         with pytest.raises(ValueError) as err:
             parse_sweep_text(SWEEP_TEXT.replace(old, new))
-        assert str(err.value) == f"<sweep>: {message}"
+        assert str(err.value) == f"<sweep>{message}"
 
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError) as err:
