@@ -45,11 +45,13 @@ numpy; node i's generator is seeded from ``SeedSequence(seed,
 spawn_key=(i,))``, the i-th child of ``SeedSequence(seed).spawn(n)``.
 The stream draws processing delays a block at a time, one array call
 per block of ``_BLOCK`` rather than one call per delay, while
-``sample_us`` still hands out one delay per call.  Before any other
-draw from the node's generator (a source's jitter) the stream
-rewinds: it restores the generator state saved before the block and
-redraws only the delays taken.  Every delay, every jitter value and
-the generator's state are therefore those of one-at-a-time draws.
+``sample_us`` still hands out one delay per call.  A source's jitter
+value is one more draw from the same generator: it follows the blocks
+drawn so far, and the block in hand keeps serving delays, so no drawn
+value is discarded.  In a run with both a delay law and jitter, a
+jitter value therefore depends on how many blocks came before it, and
+a change to ``_BLOCK`` moves the bytes of such runs.  A run that draws
+only delays, or only jitter, gets the values of one-at-a-time draws.
 
 The event trace goes to one optional sink with ``update(bytes)``,
 such as ``hashlib.sha256()``: one line per executed event.  Without a
@@ -163,17 +165,14 @@ class NodeStream:
     ``_BLOCK`` values by ``draw``, the engine's law
     (``LatencyModel.draw_us``, or None when there are no delays).
     Array and scalar draws read the bit generator identically, so
-    every delay equals a one-at-a-time draw.
+    without jitter every delay equals a one-at-a-time draw.
 
-    Every other draw from the node's generator must go through
-    :meth:`settle`, as the source's jitter does through
-    :meth:`uniform`.  A block that still holds values is given back:
-    the generator state from before it is restored and only the values
-    taken are drawn again, which leaves the generator where
-    one-at-a-time draws would have left it.
+    The source's jitter draws through :meth:`uniform`, straight from
+    the generator: the value follows every block drawn so far, and the
+    block in hand keeps serving delays.
     """
 
-    __slots__ = ("_rng", "_draw", "_seed", "_node", "_state", "block", "pos")
+    __slots__ = ("_rng", "_draw", "_seed", "_node", "block", "pos")
 
     def __init__(self, rng: np.random.Generator | None, draw,
                  seed: int = 0, node: int = 0):
@@ -181,7 +180,6 @@ class NodeStream:
         self._draw = draw
         self._seed = seed
         self._node = node
-        self._state = None  # generator state from before ``block``
         self.block = array("q")  # delays in us; -1 marks a rejected draw
         self.pos = 0  # draws taken from ``block``
 
@@ -200,27 +198,13 @@ class NodeStream:
 
     def refill(self) -> array:
         """Replace the spent block with the next ``_BLOCK`` draws."""
-        rng = self._generator()
-        self._state = rng.bit_generator.state
-        self.block = self._draw(rng, _BLOCK)
+        self.block = self._draw(self._generator(), _BLOCK)
         self.pos = 0
         return self.block
 
-    def settle(self) -> np.random.Generator:
-        """The generator, standing where one-at-a-time draws of the
-        delays taken so far would have left it."""
-        rng = self._generator()
-        taken = self.pos
-        if taken < len(self.block):
-            rng.bit_generator.state = self._state
-            self._draw(rng, taken)
-        self.block = array("q")
-        self.pos = 0
-        return rng
-
     def uniform(self, low: float, high: float) -> float:
-        """One ``Generator.uniform`` draw, made after settling."""
-        return self.settle().uniform(low, high)
+        """One ``Generator.uniform`` draw, after the blocks drawn."""
+        return self._generator().uniform(low, high)
 
 
 class LatencyModel:

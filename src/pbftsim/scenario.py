@@ -12,6 +12,7 @@ duration, and returns the finalized report.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, get_args, get_type_hints
 
@@ -44,6 +45,12 @@ class ScenarioConfig:
     equivocators: tuple[int, ...] = ()
 
     def validate(self) -> None:
+        # A chained comparison, false for NaN too, where ``math.isfinite``
+        # would add calls to every validation (a sweep validates each
+        # run's config twice).
+        for name in _FLOAT_KEYS:
+            if not -math.inf < self.__dict__[name] < math.inf:
+                raise ValueError(f"{name}: must be finite")
         if self.nodes < 4:
             raise ValueError("nodes: must be at least 4")
         if self.block_size < 1:
@@ -75,6 +82,8 @@ class ScenarioConfig:
                 raise ValueError(f"crashes: node {node} out of range")
             if at_s < 0:
                 raise ValueError("crashes: crash time must be >= 0")
+            if not at_s < math.inf:
+                raise ValueError("crashes: must be finite")
         for node in self.equivocators:
             if not 0 <= node < self.nodes:
                 raise ValueError(f"equivocators: node {node} out of range")
@@ -155,6 +164,8 @@ def _config_keys() -> dict[str, ConfigKey]:
 
 
 CONFIG_KEYS = _config_keys()
+_FLOAT_KEYS = tuple(name for name, key in CONFIG_KEYS.items()
+                    if key.parse is float)
 
 
 def format_value(value) -> str:

@@ -308,8 +308,6 @@ def decode(frame: bytes) -> Message:
 
     if has_tx:
         payload_size = len(frame) - HEADER_SIZE - FIXED_FIELDS_SIZE
-        if payload_size < 1:
-            raise FrameError("transaction frame has no payload bytes")
         digest = None
         offset += payload_size
     else:
@@ -326,8 +324,6 @@ def decode(frame: bytes) -> Message:
         digest = frame[offset:offset + DIGEST_SIZE]
         offset += DIGEST_SIZE
     client_request, seq = _TAIL.unpack_from(frame, offset)
-    if offset + _TAIL.size != len(frame):
-        raise FrameError("trailing bytes after frame")
     if sender_lo != node_id & _U32_MAX:
         raise FrameError("sender id field disagrees with node id field")
 

@@ -75,17 +75,23 @@ class TestRun:
 
 
 class TestSweep:
-    def test_writes_csv_and_plot(self, tmp_path):
+    def test_writes_csv_and_plot(self, tmp_path, capsys):
         sweep = tmp_path / "s.cfg"
         sweep.write_text(QUICK_SWEEP)
         out, plot = tmp_path / "s.csv", tmp_path / "s-plot.csv"
         code = main(["sweep", str(sweep), "--out", str(out),
-                     "--plot", str(plot)])
+                     "--plot", str(plot), "--trace"])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "scenario,axis_value,minute,committed"
         assert lines[1].startswith("s:2:r0,2,0,")
         assert plot.read_text().splitlines()[0] == "minute,2,5"
+        # --trace writes one trace hash per run to stderr.
+        traces = [line.split() for line in
+                  capsys.readouterr().err.splitlines()]
+        assert [(run, word) for run, word, _ in traces] == [
+            ("s:2:r0", "trace"), ("s:5:r0", "trace")]
+        assert all(len(digest) == 64 for _, _, digest in traces)
 
     def test_unknown_preset_fails_with_registry(self, capsys):
         assert main(["sweep", "EXP-NOPE"]) == 1
@@ -184,3 +190,8 @@ class TestLoadStudy:
                      "--nodes", "4", "--profile", "implant"])
         assert code == 0
         assert "profile=implant" in capsys.readouterr().out
+        # The default preset, by name, with the period and seed overridden.
+        assert main(["load-study", "--nodes", "5", "--period", "10",
+                     "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "seed=3\n" in out and "generation_period_s=10\n" in out

@@ -9,10 +9,10 @@ storm, an equivocator and a crash of the view-0 primary (five view
 changes, so its successors' re-proposals are pinned), across all
 three delay laws.  Jitter is pinned with each law: a jitter draw
 shares the node's random stream with the delays, which are drawn
-ahead in blocks, so these cells pin the rewind before each jitter
-draw on uniform delays and on the two laws whose samplers take a
-variable number of raw draws (normal, with its rejections, and
-exponential).
+ahead in blocks, and takes the generator's next value after the
+blocks drawn so far.  So these cells also pin the block size, on
+uniform delays and on the two laws whose samplers take a variable
+number of raw draws (normal, with its rejections, and exponential).
 """
 
 import hashlib
@@ -28,8 +28,8 @@ CELLS = {
                        device_profile="mcu8", latency_dist="uniform",
                        latency_mean_s=0.01, duration_s=120,
                        crashes=((2, 30.0),), jitter=0.05, seed=4242),
-        "9bd5a6d87bd849047f873b338f6b443bc8e60b9e5968028d8c2d9ffec7316a4f",
-        "a680941dd99c5ade130eff6cfa5e7df581d754532f952c3bd2c9425b3a6fc023",
+        "fc5a5b89471e4cf93a6b4688a05b8d70df466c34f48dc17961e9b287b602b110",
+        "cc3f96b617a1c559d5ce24108b00fbf27ecb4b78e849c13a43cd43a76e2f6c84",
     ),
     "implant-radio": (
         ScenarioConfig(nodes=10, block_size=10, generation_period_s=5.0,
@@ -59,8 +59,8 @@ CELLS = {
                        device_profile="mcu32", latency_dist="normal",
                        latency_mean_s=0.05, duration_s=120, jitter=0.3,
                        seed=3),
-        "14c3f6fa6f7d3137314528828243b1ccc080731537d221cef79ac412cfe7cbfe",
-        "fbb4489c53b635f287082fee7081eebc16c33f50f660bc820bae2e879e387871",
+        "5eeac2fc6ae2eba6b109ad303c2a5eeedbf0621b548911fb0a72f3798b58aebd",
+        "3108c77328db3519e7a9373b3ec3b9f4e9c27efe07eb96bdb580415e6e26ce61",
     ),
     "primary-crash-exponential": (
         ScenarioConfig(nodes=7, block_size=5, generation_period_s=1.0,
@@ -75,8 +75,8 @@ CELLS = {
                        device_profile="mcu32", latency_dist="exponential",
                        latency_mean_s=0.02, duration_s=180,
                        crashes=((0, 40.0),), jitter=0.1, seed=7),
-        "5aba32630828de64fa6dd8a68b1ec7e1b3dc6cf027d5f13bf6888cc2e878b290",
-        "d385a4f6f19e979e91ae939094dc1de84577e8ada5d4e4e2183686dcbcd9498b",
+        "3adeb64146008b06fa0481b6504db70501b52a291e144f7c3ac0115a685fe4ff",
+        "49c8b5619f0e1dbbf606d5aaec2e98157cdedf65bdae391db0d9a04f8eda87ce",
     ),
 }
 

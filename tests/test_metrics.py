@@ -145,3 +145,9 @@ class TestRoundTrip:
     def test_rejects_stray_content(self):
         with pytest.raises(ValueError):
             parse_report("not a report\n")
+        text = render_report(small_report())
+        # A summary line without "=" and a node row one column short.
+        with pytest.raises(ValueError, match="line 3: expected key=value"):
+            parse_report(text.replace("nodes=3", "nodes 3"))
+        with pytest.raises(ValueError, match="columns"):
+            parse_report(text.replace("2,3,0\n", "2,3\n"))

@@ -697,6 +697,20 @@ class TestViewChange:
         assert set(primary.mempool) == {(0, 0), (0, 1)}
         assert 1 not in primary.open_seqs  # the slot no longer votes
 
+    def test_adoption_keeps_slots_of_the_adopted_view(self):
+        backup, _ = make_replica(node=2, n=4, block=2)
+        relay = Message(kind=MsgKind.CLIENT_REQUEST, sender=1, recipient=2,
+                        view=1, seq=1, tx=tx(2, 0), timestamp=0)
+        backup.on_message(relay, 0)  # a view-1 relay opens seq 1
+        assert backup.view == 0 and 1 in backup.open_seqs
+        nv = Message(kind=MsgKind.NEW_VIEW, sender=1, recipient=None,
+                     view=1, seq=0, digest=bytes(32))
+        backup.on_message(nv, 1)
+        assert backup.view == 1
+        # The slot already belongs to view 1: it stays open, and our own
+        # transaction in it does not go back to the mempool.
+        assert 1 in backup.open_seqs and backup.mempool == {}
+
     def test_adoption_recorded(self):
         backup, _ = make_replica(node=3, n=4)
         nv = Message(kind=MsgKind.NEW_VIEW, sender=1, recipient=None,

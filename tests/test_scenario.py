@@ -3,11 +3,12 @@
 import gc
 import itertools
 import weakref
+from collections import Counter
 
 import pytest
 
 from pbftsim.metrics import render_report
-from pbftsim.netsim import _EV_SERVICE
+from pbftsim.netsim import _EV_SERVICE, LatencyModel, NodeStream
 from pbftsim.scenario import (ScenarioConfig, parse_config, parse_config_text,
                               run_scenario)
 
@@ -97,6 +98,14 @@ class TestParser:
             "seed = -1\n": "seed: must be >= 0",
             "latency_mean_s = -1\n": "latency_mean_s: must be >= 0",
             "latency_dist = gauss\n": "latency_dist: unknown distribution",
+            "crashes = 1@inf\n": "crashes: must be finite",
+            "crashes = 1@nan\n": "crashes: must be finite",
+            "generation_period_s = inf\n": "generation_period_s: must be "
+                                           "finite",
+            "view_change_timeout_s = inf\n": "view_change_timeout_s: must "
+                                             "be finite",
+            "retry_period_s = nan\n": "retry_period_s: must be finite",
+            "latency_mean_s = nan\n": "latency_mean_s: must be finite",
         }
         for text, needle in cases.items():
             with pytest.raises(ValueError) as err:
@@ -279,15 +288,37 @@ class TestRunGraph:
         (quick(latency_dist="uniform", latency_mean_s=0.01), False),
         # Changes view twice: the view-change units vote, lead, restart.
         (quick(nodes=7, equivocators=(0,), crashes=((3, 30.0),)), True),
-    ], ids=["plain", "equivocator-and-crash"])
+        # Draws each source's jitter between its node's delay blocks.
+        (quick(jitter=0.2, latency_dist="exponential", latency_mean_s=0.01),
+         False),
+    ], ids=["plain", "equivocator-and-crash", "jitter-and-delay-law"])
     def test_finished_run_is_freed_by_reference_counting(self, config,
-                                                         changes_view):
+                                                         changes_view,
+                                                         monkeypatch):
+        # Each node's stream also spends a block before drawing the next:
+        # no law here rejects a draw, so a node serving d delays draws
+        # ceil(d / 256) blocks, jitter or not.
+        blocks, delays = Counter(), Counter()
+        refill, sample_us = NodeStream.refill, LatencyModel.sample_us
+
+        def counted_refill(stream):
+            blocks[id(stream)] += 1
+            return refill(stream)
+
+        def counted_sample_us(law, stream):
+            delays[id(stream)] += 1
+            return sample_us(law, stream)
+
+        monkeypatch.setattr(NodeStream, "refill", counted_refill)
+        monkeypatch.setattr(LatencyModel, "sample_us", counted_sample_us)
         was = gc.isenabled()
         gc.disable()
         try:
             result = run_scenario(config, trace=True)
             assert any(r.view_adoptions
                        for r in result.replicas) == changes_view
+            for stream, count in blocks.items():
+                assert count <= -(-delays[stream] // 256)
             engine = weakref.ref(result.engine)
             replicas = [weakref.ref(r) for r in result.replicas]
             del result

@@ -287,6 +287,11 @@ def test_encode_rejects_message_with_neither_part():
 def test_encode_rejects_wrong_digest_length():
     with pytest.raises(EncodeError):
         encode(make_protocol_msg(digest=bytes(31)))
+    # So is any other field that does not fit its wire width.
+    with pytest.raises(EncodeError, match="signature placeholder"):
+        encode(make_protocol_msg(signature=bytes(63)))
+    with pytest.raises(EncodeError, match="view out of range"):
+        encode(make_protocol_msg(view=2**64))
 
 
 def test_encode_rejects_empty_payload():
@@ -327,6 +332,10 @@ def test_decode_rejects_bad_flags():
         frame[1] = flags
         with pytest.raises(FrameError):
             decode(bytes(frame))
+    # The transaction flag on a PREPARE frame.
+    frame[1] = 0x01
+    with pytest.raises(FrameError, match="do not match kind PREPARE"):
+        decode(bytes(frame))
 
 
 def test_decode_rejects_oversized_protocol_frame():
