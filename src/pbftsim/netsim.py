@@ -217,12 +217,19 @@ class LatencyModel:
     """
 
     DISTRIBUTIONS = ("none", "uniform", "normal", "exponential")
+    # The largest mean delay in seconds, about 32 years.  Draws are cast
+    # to int64 microseconds, which a uniform draw on [0, 2*mean] leaves
+    # for a mean above about 4.6e12 s.  numpy's exponential draws stay
+    # below 45 means and its normal ones below 6, so every law's draws
+    # fit with a margin of 200 at this mean.
+    MAX_MEAN_S = 1e9
 
     def __init__(self, dist: str = "none", mean_s: float = 0.0):
         if dist not in self.DISTRIBUTIONS:
             raise ValueError(f"unknown latency distribution {dist!r}")
-        if mean_s < 0:
-            raise ValueError("mean delay must be >= 0")
+        if not 0 <= mean_s <= self.MAX_MEAN_S:  # false for NaN too
+            raise ValueError(
+                f"mean delay must be in [0, {self.MAX_MEAN_S:g}] s")
         if dist != "none" and mean_s == 0:
             dist = "none"
         self.dist = dist

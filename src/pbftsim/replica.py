@@ -9,7 +9,11 @@ per transaction (its position travels in the timestamp field).
 Backups vote in the prepare round only once they hold the complete,
 digest-verified content, which guarantees that any prepared entry can
 be refetched from at least one live node.  Verified content is
-``Entry.tx_ids`` being set.
+``Entry.tx_ids`` being set: the slot's ``content`` is then frozen into
+the tuple of the block's transactions in position order, and
+``tx_ids`` into the tuple of their ids.  Until then ``content`` maps
+the positions relayed so far to their transactions (the empty tuple
+before the first relay).
 
 Each slot moves along one chain: pre-prepared with verified content,
 prepared, committed.  ``Replica._advance`` is the one place a slot
@@ -29,6 +33,10 @@ and ``int.bit_count`` counts a quorum.  On commit, ``commits`` freezes
 into the block's certificate, the ascending tuple of its commit voters,
 and ``prepares`` drops to 0.  So the vote state of a run holds no set,
 and no container the garbage collector has to track while it votes.
+
+The transactions a replica has committed are int bitmasks too: bit c
+of ``Replica.committed_ids[origin]`` is set once tx ``(origin, c)``
+commits, one mask per node, since only nodes originate transactions.
 
 A replica reads n, the block size and its two timer periods from the
 run's (validated) ``ScenarioConfig`` once, at construction.
@@ -65,7 +73,7 @@ its replica; each step that acts on one takes it as an argument.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -115,15 +123,18 @@ class Entry:
     i) while the slot votes.  Once it commits, ``commits`` is the
     ascending tuple of commit voters, its certificate, and ``prepares``
     is 0.  ``tx_ids`` is set exactly while the slot holds content
-    verified against its digest."""
+    verified against its digest: it is then the tuple of the block's tx
+    ids, and ``content`` the tuple of its transactions in position
+    order.  Before that ``content`` maps each relayed position to its
+    transaction, or is the empty tuple while no relay is held."""
 
     seq: int
     view: int
     digest: bytes | None
     block_ref: int
     created_us: int
-    content: dict[int, Transaction] = field(default_factory=dict)
-    tx_ids: list | None = None
+    content: dict[int, Transaction] | tuple = ()
+    tx_ids: tuple | None = None
     pre_prepared: bool = False
     prepares: int = 0
     commits: int | tuple = 0
@@ -143,7 +154,7 @@ class Entry:
         if digest != self.digest:
             self.digest = digest
             self.block_ref = block_ref
-            self.content.clear()
+            self.content = ()
             self.tx_ids = None
             self.pre_prepared = False
         self.view = view
@@ -181,7 +192,8 @@ class Replica:
         # pairs: a pair per live slot added 0.5 MiB to a 22-node run.
         self._open_by_age: list = []
         self.mempool: dict[tuple, Transaction] = {}
-        self.committed_ids: set = set()
+        # Bit c of committed_ids[origin] is set once (origin, c) commits.
+        self.committed_ids: list[int] = [0] * n
         # Heights appended so far; grows strictly 1, 2, 3, ... as
         # commit certificates complete in order.
         self.ledger: list[int] = []
@@ -328,7 +340,8 @@ class Replica:
 
     def _admit_tx(self, tx: Transaction, now_us: int, forward: bool) -> None:
         tid = tx.tx_id
-        if tid in self.committed_ids or tid in self.mempool:
+        if (self.committed_ids[tx.origin] >> tx.counter & 1
+                or tid in self.mempool):
             self.duplicates += 1
             return
         self.mempool[tid] = tx
@@ -356,10 +369,9 @@ class Replica:
         while (self.is_primary and not vc.frozen_seqs
                and len(self.open_seqs) < MAX_INFLIGHT
                and len(self.mempool) >= block):
-            picked = list(islice(self.mempool.items(), block))
-            for tid, _ in picked:
-                del self.mempool[tid]
-            txs = [tx for _, tx in picked]
+            txs = tuple(islice(self.mempool.values(), block))
+            for tx in txs:
+                del self.mempool[tx.tx_id]
             if vc.hole_seqs:
                 # Refill slots orphaned by a view change first, so
                 # the ledger can drain past them.
@@ -368,11 +380,11 @@ class Replica:
             else:
                 seq = self.next_seq
                 self.next_seq += 1
-            tx_ids = [tx.tx_id for tx in txs]
+            tx_ids = tuple([tx.tx_id for tx in txs])
             digest = block_digest(seq, tx_ids)
             entry = self._open(Entry(
                 seq, self.view, digest, block_ref_from_digest(digest), now_us,
-                content=dict(enumerate(txs)), tx_ids=tx_ids,
+                content=txs, tx_ids=tx_ids,
                 pre_prepared=True, prepares=1 << self.node))
             self._announce(entry, now_us)
             vc.arm(self, now_us)
@@ -400,10 +412,13 @@ class Replica:
         if entry is None:
             entry = self._open(Entry(msg.seq, msg.view, None, msg.block_ref,
                                      now_us))
-        if entry.tx_ids is not None or pos in entry.content:
+        content = entry.content
+        if entry.tx_ids is not None or pos in content:
             self.duplicates += 1
             return
-        entry.content[pos] = msg.tx
+        if not content:
+            content = entry.content = {}
+        content[pos] = msg.tx
         # Until the block's last position arrives neither call can act:
         # ``_refresh_content`` needs all ``block_size`` positions, and
         # ``_advance`` needs verified content (``tx_ids`` set) or
@@ -412,7 +427,7 @@ class Replica:
         # ``tx_ids``: only ``_advance`` sets it, and only on a slot with
         # verified content, and ``rebind``, the one place that clears
         # ``tx_ids``, clears ``sent_commit`` too.
-        if len(entry.content) == self.block_size:
+        if len(content) == self.block_size:
             self._refresh_content(entry)
             self._advance(entry, now_us)
 
@@ -421,11 +436,14 @@ class Replica:
         if (entry.tx_ids is not None or not entry.pre_prepared
                 or len(entry.content) < b):
             return
-        ids = [entry.content[p].tx_id for p in range(b)]
+        content = entry.content
+        txs = tuple([content[p] for p in range(b)])
+        ids = tuple([tx.tx_id for tx in txs])
         if block_digest(entry.seq, ids) == entry.digest:
+            entry.content = txs
             entry.tx_ids = ids
         else:
-            entry.content.clear()
+            entry.content = ()
 
     # ------------------------------------------------------ vote rounds
 
@@ -512,9 +530,10 @@ class Replica:
         entry.commits = tuple([i for i in range(self.n) if commits >> i & 1])
         entry.prepares = 0
         self.open_seqs.discard(entry.seq)
-        self.committed_ids.update(entry.tx_ids)
-        for tid in entry.tx_ids:
-            self.mempool.pop(tid, None)
+        committed = self.committed_ids
+        for tx in entry.content:
+            committed[tx.origin] |= 1 << tx.counter
+            self.mempool.pop(tx.tx_id, None)
         self.vc.hole_seqs.discard(entry.seq)
         self.vc.frozen_seqs.discard(entry.seq)
         self.vc.attempts = 0
@@ -546,10 +565,13 @@ class Replica:
         if (target is None
                 or now_us - target.created_us < self.retry_period_us):
             return
-        held = 0
-        for pos in target.content:
-            if pos < 64:
-                held |= 1 << pos
+        if target.tx_ids is not None:
+            held = (1 << min(len(target.tx_ids), 64)) - 1
+        else:
+            held = 0
+            for pos in target.content:
+                if pos < 64:
+                    held |= 1 << pos
         self._send(MsgKind.RETRY_REQUEST, self.view, target.seq,
                    target.digest or _ZERO_DIGEST, target.block_ref, now_us,
                    client_request=held)
@@ -604,6 +626,7 @@ class Replica:
         self.view_adoptions += 1
         self.vc_target = None
         self.vc.restart(view, now_us)
+        mine = self.committed_ids[self.node]
         for seq in list(self.open_seqs):
             entry = self.entries[seq]
             if entry.view >= view:
@@ -613,10 +636,12 @@ class Replica:
             # ourselves go back to the mempool so they are not lost if
             # it never is.
             self.open_seqs.discard(seq)
-            for tx in entry.content.values():
-                tid = tx.tx_id
-                if tx.origin == self.node and tid not in self.committed_ids:
-                    self.mempool.setdefault(tid, tx)
+            content = entry.content
+            if entry.tx_ids is None and content:
+                content = content.values()  # relays so far, by arrival
+            for tx in content:
+                if tx.origin == self.node and not mine >> tx.counter & 1:
+                    self.mempool.setdefault(tx.tx_id, tx)
         self.vc.arm(self, now_us)
 
 
@@ -782,7 +807,7 @@ class EquivocatingReplica(Replica):
         digest = block_digest(entry.seq, alt_ids)
         alt = Entry(entry.seq, self.view, digest,
                     block_ref_from_digest(digest), now_us,
-                    content=dict(enumerate(reversed(entry.content.values()))))
+                    content=entry.content[::-1])
         peers = [i for i in range(self.n) if i != self.node]
         half = len(peers) // 2
         for block, dsts in ((entry, peers[:half]), (alt, peers[half:])):

@@ -77,6 +77,9 @@ class ScenarioConfig:
                              f"{self.latency_dist!r} (one of {names})")
         if self.latency_mean_s < 0:
             raise ValueError("latency_mean_s: must be >= 0")
+        if self.latency_mean_s > LatencyModel.MAX_MEAN_S:
+            raise ValueError(f"latency_mean_s: must be at most "
+                             f"{LatencyModel.MAX_MEAN_S:g}")
         for node, at_s in self.crashes:
             if not 0 <= node < self.nodes:
                 raise ValueError(f"crashes: node {node} out of range")

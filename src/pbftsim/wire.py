@@ -142,9 +142,9 @@ class Transaction:
 
     The payload is never materialised; only its size matters to the
     network model.  ``created_at`` is simulated seconds.  ``tx_id`` is
-    ``(origin, counter)``, built once, so every replica's mempool,
-    committed set and block id lists share one tuple per transaction;
-    it takes no part in equality or hashing.
+    ``(origin, counter)``, built once, so every replica's mempool and
+    block id tuples share one tuple per transaction; it takes no part
+    in equality or hashing.
     """
 
     origin: int

@@ -547,8 +547,21 @@ def test_lazy_generator_is_the_spawned_child(seed):
 def test_unknown_distribution_rejected():
     with pytest.raises(ValueError):
         LatencyModel("pareto", 0.1)
-    with pytest.raises(ValueError):
-        LatencyModel("uniform", -1.0)
+    for mean in (-1.0, 1e13, float("nan")):
+        with pytest.raises(ValueError, match="mean delay must be in"):
+            LatencyModel("uniform", mean)
+
+
+@pytest.mark.parametrize("dist", ["uniform", "normal", "exponential"])
+def test_draws_at_the_mean_ceiling_fit_in_microseconds(dist):
+    # Above the ceiling a cast to int64 wraps to its minimum, which
+    # ``sample_us`` would take for a rejected draw.
+    mean_us = LatencyModel.MAX_MEAN_S * US_PER_S
+    lat = LatencyModel(dist, LatencyModel.MAX_MEAN_S)
+    draws = np.array(lat.draw_us(np.random.default_rng(0), 100_000))
+    assert draws.min() >= (-1 if dist == "normal" else 0)
+    assert draws.max() <= 45 * mean_us
+    assert abs(draws[draws >= 0].mean() - mean_us) / mean_us < 0.02
 
 
 def test_latency_adds_to_fixed_cost():

@@ -163,6 +163,32 @@ class TestProposal:
         backup.on_transaction(tx(2, 0), 1)
         assert backup.duplicates == 1
 
+    def test_committed_transaction_refused_as_duplicate(self):
+        # Counter 70 lies past the first 64 bits of origin 1's mask.
+        primary, engine = make_replica(node=0, n=4, block=1)
+
+        def forward(t, now_us):
+            primary.on_message(Message(kind=MsgKind.TX_BROADCAST, sender=1,
+                                       recipient=0, view=0, seq=0, tx=t),
+                               now_us)
+
+        forward(tx(1, 70), 0)
+        head, = engine.of_kind(MsgKind.PRE_PREPARE)
+        for kind, sender in ((MsgKind.PREPARE, 1), (MsgKind.COMMIT, 1),
+                             (MsgKind.COMMIT, 2)):
+            primary.on_message(Message(kind=kind, sender=sender,
+                                       recipient=None, view=0, seq=1,
+                                       digest=head.digest,
+                                       block_ref=head.block_ref), 1)
+        assert primary.ledger == [1]
+        assert primary.committed_ids[1] == 1 << 70
+        forward(tx(1, 70), 2)
+        assert primary.duplicates == 1 and not primary.mempool
+        assert len(engine.of_kind(MsgKind.PRE_PREPARE)) == 1
+        forward(tx(1, 6), 3)  # 70 - 64: a different tx
+        assert primary.duplicates == 1
+        assert len(engine.of_kind(MsgKind.PRE_PREPARE)) == 2
+
     def test_proposal_window_bounds_open_blocks(self):
         primary, engine = make_replica(node=0, n=4, block=1)
         feed_block(primary, [tx(0, c) for c in range(MAX_INFLIGHT + 4)])
@@ -563,10 +589,10 @@ class TestViewChange:
         digest2 = block_digest(2, [(0, 2), (0, 3)])
         leader, engine = make_replica(node=1, n=4, block=2)
         entry = Entry(seq=2, view=0, digest=digest2, block_ref=0,
-                      created_us=0, tx_ids=[(0, 2), (0, 3)],
+                      created_us=0, tx_ids=((0, 2), (0, 3)),
                       committed=True)
         leader.entries[2] = entry
-        leader.committed_ids.update(entry.tx_ids)
+        leader.committed_ids[0] |= 1 << 2 | 1 << 3
         leader.on_message(vc_vote(2, 1), 0)
         leader.on_message(vc_vote(3, 1), 1)
         assert leader.vc.hole_seqs == {1}
@@ -867,6 +893,35 @@ def test_votes_are_masks_and_commits_freeze_a_certificate(name):
                 assert type(entry.commits) is int
                 assert not gc.is_tracked(entry.prepares)
                 assert not gc.is_tracked(entry.commits)
+
+
+@pytest.mark.parametrize("name", sorted(VOTE_CELLS))
+def test_committed_masks_and_frozen_content(name):
+    from pbftsim import scenario
+
+    config = VOTE_CELLS[name]
+    result = scenario.run_scenario(config)
+    for replica in result.replicas:
+        # Bit c of committed_ids[origin] is set exactly for the txs of
+        # committed slots, the ledger's and those above a gap in it,
+        # and for no uncommitted tx.
+        masks = [0] * config.nodes
+        for entry in replica.entries.values():
+            if entry.committed:
+                for origin, counter in entry.tx_ids:
+                    masks[origin] |= 1 << counter
+        assert all(replica.entries[height].committed
+                   for height in replica.ledger)
+        assert replica.committed_ids == masks
+        for entry in replica.entries.values():
+            if entry.tx_ids is not None:
+                assert type(entry.content) is tuple
+                assert type(entry.tx_ids) is tuple
+                assert tuple(tx.tx_id for tx in entry.content) == entry.tx_ids
+            else:
+                # Relays so far by position, and no empty dict.
+                assert entry.content == () or (
+                    type(entry.content) is dict and entry.content)
 
 
 # ---------------------------------------------- retry index, differential

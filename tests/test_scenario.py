@@ -8,9 +8,11 @@ from collections import Counter
 import pytest
 
 from pbftsim.metrics import render_report
-from pbftsim.netsim import _EV_SERVICE, LatencyModel, NodeStream
+from pbftsim.netsim import (_EV_SERVICE, PROFILES, US_PER_S, LatencyModel,
+                            NodeStream, to_us)
 from pbftsim.scenario import (ScenarioConfig, parse_config, parse_config_text,
                               run_scenario)
+from pbftsim.wire import Message, MsgKind, Transaction
 
 FULL_CONFIG = """\
 # cluster
@@ -106,6 +108,8 @@ class TestParser:
                                              "be finite",
             "retry_period_s = nan\n": "retry_period_s: must be finite",
             "latency_mean_s = nan\n": "latency_mean_s: must be finite",
+            "latency_mean_s = 1e13\n": "latency_mean_s: must be at most",
+            "latency_mean_s = 1e300\n": "latency_mean_s: must be at most",
         }
         for text, needle in cases.items():
             with pytest.raises(ValueError) as err:
@@ -261,6 +265,48 @@ class TestRun:
         assert res.engine.sent_packets == packets
         assert res.engine.pending_arrivals() == 0
         assert sum(res.engine.dropped) == 0
+
+    # The EXP-LOAD base on mcu8, below saturation.
+    @pytest.mark.parametrize("nodes", [5, 10])
+    def test_fault_free_load_matches_closed_form(self, nodes):
+        # A node's load is its CPU time, the messages it receives times
+        # the per-message cost, plus its NIC time, the frames it sends
+        # times their serialisation time, over the run.  Per block of b
+        # txs the primary receives n-1 prepares and n-1 commits, and
+        # sends an announce, b relays and a commit to each of n-1 peers;
+        # it also receives every tx a backup forwards.  A backup
+        # receives the announce, b relays, n-2 prepares and n-1 commits
+        # per block, broadcasts a prepare and a commit, and forwards each
+        # tx it generates.
+        block, period_s, duration_s = 10, 5.0, 600
+        prof = PROFILES["mcu8"]
+        res = run_scenario(ScenarioConfig(
+            nodes=nodes, block_size=block, generation_period_s=period_s,
+            device_profile="mcu8", duration_s=duration_s,
+            view_change_timeout_s=600, seed=5))
+        per_node = int(duration_s // period_s)
+        # The block that the last seconds' txs fill may be in flight.
+        blocks = min(len(r.ledger) for r in res.replicas)
+        assert nodes * per_node // block - blocks <= 1
+
+        def ser_us(msg):
+            return -(-msg.size * 8 * US_PER_S // prof.link_rate_bps)
+
+        vote_us = ser_us(Message(kind=MsgKind.COMMIT, sender=0,
+                                 recipient=None, view=0, seq=1,
+                                 digest=bytes(32)))
+        tx_us = ser_us(Message(
+            kind=MsgKind.CLIENT_REQUEST, sender=0, recipient=None, view=0,
+            seq=1, tx=Transaction(0, 0, payload_size=prof.tx_payload_bytes)))
+        cost_us = to_us(prof.per_message_processing_s)
+        peers = nodes - 1
+        primary = ((peers * per_node + 2 * peers * blocks) * cost_us
+                   + blocks * peers * (2 * vote_us + block * tx_us))
+        backup = (blocks * (block + 2 * nodes - 2) * cost_us
+                  + per_node * tx_us + blocks * 2 * peers * vote_us)
+        predicted = max(primary, backup) / (duration_s * US_PER_S)
+        simulated = max(row["load"] for row in res.report.nodes)
+        assert predicted == pytest.approx(simulated, rel=0.005)
 
     @pytest.mark.xfail(strict=True, reason=(
         "FOUND: double commit. With 10 nodes, mcu32, block 5, period 2 s, "

@@ -26,7 +26,14 @@ report.  For each workload the script records
     the program's own calls run, the cyclic garbage collector's passes
     and the objects they found per generation and its seconds.
     ``VmHWM`` starts afresh in a new process, while ``ru_maxrss``, which
-    the benchmark reads, keeps the launcher's peak across ``exec``.
+    the benchmark reads, keeps the launcher's peak across ``exec``;
+  * in a ``memory`` record, for each single-scenario workload, the
+    bytes that the finished run holds while its ``RunResult`` is alive,
+    counted by ``tracemalloc`` in a fresh process that traces only the
+    ``run_scenario`` call (``numpy.random`` is imported before it), with the ten
+    ``src/pbftsim`` lines that allocated the most of them.  The count is deterministic, unlike
+    the resident peak, so ``MEMORY_PROBES`` processes must agree; the
+    record gives their spread, which is 0 when they do.
 
 A last record, ``engine-only``, times the event loop alone: the
 engine on the implant profile at 30 nodes, with stub replicas that
@@ -83,6 +90,8 @@ print("numpy" in sys.modules)
 """
 
 ROUND_PROBES = 3
+MEMORY_PROBES = 2
+MEMORY_TOP = 10
 
 # Runs one round of the workload and prints the process's peak resident
 # memory, with the cyclic collector's passes and the objects they found
@@ -120,6 +129,37 @@ with open("/proc/self/status") as status:
     peak_kib = next(int(line.split()[1]) for line in status
                     if line.startswith("VmHWM:"))
 print(json.dumps([peak_kib, spent[0], passes, found]))
+"""
+
+# Runs one scenario of the workload under ``tracemalloc`` and prints
+# the bytes the finished run holds, once the collector has freed any
+# cyclic garbage, and the lines of ``src/pbftsim`` holding the most.
+# ``numpy.random``, which a run with a delay law imports on its first
+# draw, is imported first, so that its modules (about 6 MiB) are not
+# counted.
+MEMORY_CHILD = """
+import gc, json, sys, tracemalloc
+sys.path.insert(0, {perfbench!r})
+import numpy.random
+import srcpath
+from pbftsim import scenario
+from workloads import WORKLOADS, build
+
+config = build(WORKLOADS[{name!r}], {seed!r})
+tracemalloc.start()
+result = scenario.run_scenario(config)
+gc.collect()
+held = tracemalloc.get_traced_memory()[0]
+snapshot = tracemalloc.take_snapshot()
+tracemalloc.stop()
+ours = snapshot.filter_traces(
+    [tracemalloc.Filter(True, str(srcpath.SRC / "pbftsim" / "*"))])
+top = []
+for stat in ours.statistics("lineno")[:{top}]:
+    frame = stat.traceback[0]
+    path = srcpath.Path(frame.filename).relative_to(srcpath.SRC.parent)
+    top.append([f"{{path.as_posix()}}:{{frame.lineno}}", stat.size])
+print(json.dumps([held, top]))
 """
 
 # The engine-only case: about as many events as one implant-30 run.
@@ -247,6 +287,31 @@ def measure_round(wl) -> dict:
     }
 
 
+def probe_memory(wl) -> tuple[int, list]:
+    """Bytes a fresh process's finished run of the workload holds, and
+    the ``src/pbftsim`` lines holding the most, as [line, bytes]."""
+    code = MEMORY_CHILD.format(perfbench=str(ROOT / "perfbench"),
+                               name=wl.name, seed=wl.default_seed,
+                               top=MEMORY_TOP)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=600).stdout
+    return tuple(json.loads(out))
+
+
+def measure_memory(wl) -> dict:
+    probes = [probe_memory(wl) for _ in range(MEMORY_PROBES)]
+    held = [h for h, _ in probes]
+    return {
+        "record": "memory",
+        "workload": wl.name,
+        "seed": wl.default_seed,
+        "held_bytes": held,
+        "held_spread_bytes": max(held) - min(held),
+        "held_mib": round(min(held) / 2**20, 2),
+        "top_lines": probes[0][1],
+    }
+
+
 def git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -300,7 +365,10 @@ def main(argv=None) -> int:
     }
     log = json.loads(args.out.read_text()) if args.out.exists() else []
     for wl in WORKLOADS.values():
-        for probe in (measure_setup, measure_round):
+        probes = [measure_setup, measure_round]
+        if not wl.is_sweep:
+            probes.append(measure_memory)
+        for probe in probes:
             record = dict(stamp, **probe(wl))
             print(json.dumps(record), file=sys.stderr)
             log.append(record)
