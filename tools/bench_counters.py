@@ -30,10 +30,11 @@ report.  For each workload the script records
   * in a ``memory`` record, for each single-scenario workload, the
     bytes that the finished run holds while its ``RunResult`` is alive,
     counted by ``tracemalloc`` in a fresh process that traces only the
-    ``run_scenario`` call (``numpy.random`` is imported before it), with the ten
-    ``src/pbftsim`` lines that allocated the most of them.  The count is deterministic, unlike
-    the resident peak, so ``MEMORY_PROBES`` processes must agree; the
-    record gives their spread, which is 0 when they do.
+    ``run_scenario`` call (``numpy.random`` is imported before it),
+    with the ten ``src/pbftsim`` lines that allocated the most of them.
+    The count is deterministic, unlike the resident peak, so the
+    ``MEMORY_PROBES`` processes should agree; the record gives their
+    spread, which is 0 when they do.
 
 A last record, ``engine-only``, times the event loop alone: the
 engine on the implant profile at 30 nodes, with stub replicas that
@@ -139,6 +140,7 @@ print(json.dumps([peak_kib, spent[0], passes, found]))
 # counted.
 MEMORY_CHILD = """
 import gc, json, sys, tracemalloc
+from pathlib import Path
 sys.path.insert(0, {perfbench!r})
 import numpy.random
 import srcpath
@@ -157,7 +159,7 @@ ours = snapshot.filter_traces(
 top = []
 for stat in ours.statistics("lineno")[:{top}]:
     frame = stat.traceback[0]
-    path = srcpath.Path(frame.filename).relative_to(srcpath.SRC.parent)
+    path = Path(frame.filename).relative_to(srcpath.SRC.parent)
     top.append([f"{{path.as_posix()}}:{{frame.lineno}}", stat.size])
 print(json.dumps([held, top]))
 """
