@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from .metrics import render_report
-from .scenario import parse_config, run_scenario
+from .scenario import format_value, parse_config, run_scenario
 from .sweeps import (PRESETS, emit_csv, emit_plot_data, load_preset,
                      parse_sweep_text, render_load_study, run_load_study,
                      run_sweep)
@@ -91,7 +91,7 @@ def _cmd_load_study(args) -> int:
     study = run_load_study(base, nodes=nodes)
     echo = {"profile": base.device_profile, "seed": base.seed,
             "block_size": base.block_size,
-            "generation_period_s": f"{base.generation_period_s:g}"}
+            "generation_period_s": format_value(base.generation_period_s)}
     _write(render_load_study(study, echo), args.out)
     if study.warning is not None:
         sys.stderr.write(f"warning: {study.warning}\n")

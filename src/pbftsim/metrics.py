@@ -22,6 +22,8 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 
+from .netsim import US_PER_S
+
 __all__ = ["MetricsReport", "render_report", "parse_report"]
 
 REPORT_VERSION = "consensus-sim-report/1"
@@ -67,14 +69,14 @@ _NODE_FLOAT_COLUMNS = {"load", "cpu_busy_s", "nic_busy_s"}
 
 def finalize(engine, duration_s: float, config_echo: dict) -> MetricsReport:
     """Build the report once the engine has reached duration."""
-    if engine.now_us < int(duration_s * 1_000_000):
+    if engine.now_us < int(duration_s * US_PER_S):
         raise RuntimeError("run has not reached its configured duration")
     replicas = engine.replicas
     n = len(replicas)
     observer = next((node for node, dead in enumerate(engine.crashed)
                      if not dead), 0)
     obs = replicas[observer]
-    duration_us = duration_s * 1_000_000
+    duration_us = duration_s * US_PER_S
     retries = sum(r.retries for r in replicas)
     ledger_txs = [0] * n
     for node, r in enumerate(replicas):
@@ -99,7 +101,7 @@ def finalize(engine, duration_s: float, config_echo: dict) -> MetricsReport:
     blocks, txs = Counter(), Counter()
     for height in obs.ledger:
         entry = obs.entries[height]
-        minute = entry.appended_us // 60_000_000
+        minute = entry.appended_us // (60 * US_PER_S)
         blocks[minute] += 1
         txs[minute] += len(entry.tx_ids)
     minutes = [(minute, blocks[minute], txs[minute])
@@ -111,8 +113,8 @@ def finalize(engine, duration_s: float, config_echo: dict) -> MetricsReport:
         nodes.append({
             "node": node,
             "load": min(1.0, busy_us / duration_us),
-            "cpu_busy_s": engine.busy_cpu_us[node] / 1_000_000,
-            "nic_busy_s": engine.busy_nic_us[node] / 1_000_000,
+            "cpu_busy_s": engine.busy_cpu_us[node] / US_PER_S,
+            "nic_busy_s": engine.busy_nic_us[node] / US_PER_S,
             "blocks": len(r.ledger),
             "txs": ledger_txs[node],
             "retries": r.retries,

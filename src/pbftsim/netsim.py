@@ -1,6 +1,8 @@
 """Deterministic discrete-event network simulator.
 
-Time is integer microseconds.  Events are ordered by (time, insertion
+Time is integer microseconds, also in every engine call that places an
+event; only ``Engine.run`` takes its horizon in seconds, the unit of
+``ScenarioConfig``.  Events are ordered by (time, insertion
 sequence number), so simultaneous events execute in scheduling order
 and every run with the same seed replays the same event sequence.
 The engine keeps no calendar: per-minute series are binned by
@@ -363,15 +365,15 @@ class Engine:
     def attach_replica(self, node: int, replica) -> None:
         self.replicas[node] = replica
 
-    def attach_source(self, node: int, source, first_at_s: float) -> None:
+    def attach_source(self, node: int, source, first_at_us: int) -> None:
         self.sources[node] = source
-        self._push(to_us(first_at_s), _EV_GENERATE, node, None)
+        self._push(first_at_us, _EV_GENERATE, node, None)
 
     def schedule_timer(self, node: int, kind: TimerKind, at_us: int) -> None:
         self._push(at_us, _EV_TIMER, node, kind)
 
-    def schedule_crash(self, node: int, at_s: float) -> None:
-        self._push(to_us(at_s), _EV_CRASH, node, None)
+    def schedule_crash(self, node: int, at_us: int) -> None:
+        self._push(at_us, _EV_CRASH, node, None)
 
     # ----------------------------------------------------------- sending
 

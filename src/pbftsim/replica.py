@@ -78,7 +78,7 @@ from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .netsim import US_PER_S, Engine, TimerKind, to_us
+from .netsim import Engine, TimerKind, to_us
 from .wire import (
     Message,
     MsgKind,
@@ -354,11 +354,11 @@ class Replica:
     def _forward_tx(self, tx: Transaction, dst: int, now_us: int) -> None:
         self._emit(Message(kind=MsgKind.TX_BROADCAST, sender=self.node,
                            recipient=dst, view=self.view, seq=0, tx=tx,
-                           timestamp=int(tx.created_at * 1000)))
+                           timestamp=tx.created_us // 1000))
 
     def _on_tx(self, msg: Message, now_us: int) -> None:
         # Forwarded transactions are held, not re-forwarded: if the
-        # view moved, our own adoption handler re-sends the mempool.
+        # view moves, ``_adopt_view`` re-sends the mempool.
         self._admit_tx(msg.tx, now_us, forward=False)
 
     # ---------------------------------------------------------- proposing
@@ -617,11 +617,11 @@ class Replica:
                 or msg.sender != self.primary_of(msg.view)):
             return
         self._adopt_view(msg.view, now_us)
-        for tx in list(self.mempool.values()):
-            self._forward_tx(tx, self.primary_of(self.view), now_us)
 
     def _adopt_view(self, view: int, now_us: int) -> None:
-        """Move to ``view``, which every caller has checked is newer."""
+        """Move to ``view``, which every caller has checked is newer.
+        A backup then re-sends its pending transactions to the new
+        primary, whichever message made it adopt the view."""
         self.view = view
         self.view_adoptions += 1
         self.vc_target = None
@@ -643,6 +643,10 @@ class Replica:
                 if tx.origin == self.node and not mine >> tx.counter & 1:
                     self.mempool.setdefault(tx.tx_id, tx)
         self.vc.arm(self, now_us)
+        if not self.is_primary:
+            primary = self.primary_of(view)
+            for tx in self.mempool.values():
+                self._forward_tx(tx, primary, now_us)
 
 
 class ViewChange:
@@ -679,8 +683,7 @@ class ViewChange:
         if entry is not None:
             oldest = entry.created_us
         if replica.mempool:
-            waiting = min(int(tx.created_at * US_PER_S)
-                          for tx in replica.mempool.values())
+            waiting = min(tx.created_us for tx in replica.mempool.values())
             oldest = waiting if oldest is None else min(oldest, waiting)
         if oldest is None:
             return None

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, get_args, get_type_hints
 
 from .metrics import MetricsReport, finalize
-from .netsim import PROFILES, DeviceProfile, Engine, LatencyModel
+from .netsim import PROFILES, DeviceProfile, Engine, LatencyModel, to_us
 from .replica import EquivocatingReplica, Replica
 from .workload import TransactionSource
 
@@ -241,10 +241,10 @@ def run_scenario(config: ScenarioConfig, trace: bool = False) -> RunResult:
         engine.attach_replica(node, replica)
         replicas.append(replica)
         source = TransactionSource(node, config)
-        engine.attach_source(node, source, source.phase_s)
+        engine.attach_source(node, source, source.phase_us)
 
     for node, at_s in config.crashes:
-        engine.schedule_crash(node, at_s)
+        engine.schedule_crash(node, to_us(at_s))
     for replica in replicas:
         replica.start()
 

@@ -141,7 +141,8 @@ class Transaction:
     """A simulated client transaction.
 
     The payload is never materialised; only its size matters to the
-    network model.  ``created_at`` is simulated seconds.  ``tx_id`` is
+    network model.  ``created_us`` is when it was generated, in simulated
+    microseconds; a TX_BROADCAST frame carries it in whole ms.  ``tx_id`` is
     ``(origin, counter)``, built once, so every replica's mempool and
     block id tuples share one tuple per transaction; it takes no part
     in equality or hashing.
@@ -151,7 +152,7 @@ class Transaction:
     counter: int
     payload_size: int = DEFAULT_PAYLOAD_SIZE
     tx_type: int = 0
-    created_at: float = 0.0
+    created_us: int = 0
     tx_id: tuple[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -331,10 +332,10 @@ def decode(frame: bytes) -> Message:
     if has_tx:
         origin = client_request >> 32
         counter = client_request & _U32_MAX
-        created_at = timestamp / 1000.0 if kind == MsgKind.TX_BROADCAST else 0.0
+        created_us = timestamp * 1000 if kind == MsgKind.TX_BROADCAST else 0
         tx = Transaction(origin=origin, counter=counter,
                          payload_size=payload_size, tx_type=tx_type,
-                         created_at=created_at)
+                         created_us=created_us)
 
     recipient = None if recipient_lo == _BROADCAST_LO else recipient_lo
     return Message(kind=kind, sender=node_id, recipient=recipient,

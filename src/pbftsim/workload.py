@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .netsim import US_PER_S, to_us
+from .netsim import to_us
 from .wire import Transaction
 
 if TYPE_CHECKING:
@@ -32,14 +32,14 @@ class TransactionSource:
         self.period_s = config.generation_period_s
         self.jitter = config.jitter
         self.payload_bytes = config.profile().tx_payload_bytes
-        self.phase_s = (node / config.nodes) * self.period_s
+        self.phase_us = to_us((node / config.nodes) * self.period_s)
         self._period_us = to_us(self.period_s)
         self._until_us = to_us(config.duration_s)
 
     def next_tx(self, now_us: int, rng):
         tx = Transaction(origin=self.node, counter=self.counter,
                          payload_size=self.payload_bytes,
-                         created_at=now_us / US_PER_S)
+                         created_us=now_us)
         self.counter += 1
         period_us = self._period_us
         if self.jitter:

@@ -117,7 +117,7 @@ def test_wire_size_goldens():
 
     def tx_msg(payload_size):
         tx = Transaction(origin=2, counter=9, payload_size=payload_size,
-                         created_at=0.5)
+                         created_us=500_000)
         return Message(kind=MsgKind.TX_BROADCAST, sender=2, recipient=0,
                        view=0, seq=0, tx=tx, timestamp=500)
 

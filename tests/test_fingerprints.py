@@ -43,8 +43,8 @@ CELLS = {
                        device_profile="mcu8", latency_dist="exponential",
                        latency_mean_s=0.02, buffer_capacity_bytes=8192,
                        duration_s=180, seed=11),
-        "e0f583dbda9441fa0373c2b2f7dc25f84082045c218f1aae73657e94d34a4bcb",
-        "d371641971740673e48f9a58dc882995eb75e3ad5db38881f3186931eaa5136c",
+        "79c10225efde1a5db1d0d096a34e42d4a27d23442e6fd1d669a03ae7d40c0240",
+        "6e39a92061804f164b283673f64548170578350334bc003c5a6f1e7039c478fb",
     ),
     "equivocator-normal": (
         ScenarioConfig(nodes=7, block_size=3, generation_period_s=2.0,

@@ -279,7 +279,7 @@ def test_sender_nic_busy_time_accumulates():
 
 def test_crashed_sender_sends_nothing():
     eng, recs = make_engine()
-    eng.schedule_crash(0, 0.0)
+    eng.schedule_crash(0, 0)
     eng.run(0.001)
     eng.send(0, 1, prepare_msg())
     eng.run(1.0)
@@ -380,7 +380,7 @@ def test_processing_cost_delays_handler():
 
 def test_crashed_node_stops_processing():
     eng, recs = make_engine()
-    eng.schedule_crash(1, 0.0005)
+    eng.schedule_crash(1, 500)
     eng.send(0, 1, prepare_msg(seq=1))   # arrives at 124 us, survives
     eng.run(0.0005)
     eng.send(0, 1, prepare_msg(seq=2))   # arrives after the crash
@@ -394,7 +394,7 @@ def test_crash_discards_queued_work():
     eng, recs = make_engine(prof=prof)
     for counter in range(3):
         eng.send(0, 1, tx_msg(counter=counter))
-    eng.schedule_crash(1, 0.05)  # mid-service of the first message
+    eng.schedule_crash(1, 50_000)  # mid-service of the first message
     eng.run(0.05)
     # The crash frees the two queued frames; the one in service holds
     # its bytes until its service ends.
@@ -408,7 +408,7 @@ def test_crash_discards_queued_work():
 def test_crashed_node_timers_do_not_fire():
     eng, recs = make_engine(n=1)
     eng.schedule_timer(0, TimerKind.RETRY, to_us(2.0))
-    eng.schedule_crash(0, 1.0)
+    eng.schedule_crash(0, to_us(1.0))
     eng.run(3.0)
     assert recs[0].timers == []
 
@@ -638,7 +638,7 @@ def run_traced(seed, sink=None):
                  seed, trace=sink)
     for i in range(4):
         eng.attach_replica(i, RoundRobinForwarder(i, eng))
-        eng.attach_source(i, TickSource(i, 50_000), first_at_s=0.01)
+        eng.attach_source(i, TickSource(i, 50_000), first_at_us=10_000)
     eng.run(2.0)
     return eng, sink
 
@@ -682,7 +682,7 @@ def test_packet_conservation():
     for counter in range(30):
         eng.send(0, 1, tx_msg(counter=counter))
         eng.send(0, 2, tx_msg(recipient=2, counter=counter))
-    eng.schedule_crash(2, 0.01)
+    eng.schedule_crash(2, 10_000)
     eng.run(0.05)  # stop early: some copies still on the wire
     assert eng.sent_packets == 60
     assert eng.arrived_packets + eng.pending_arrivals() == 60

@@ -52,8 +52,8 @@ def voters(mask):
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
-def tx(origin, counter, at=0.0):
-    return Transaction(origin=origin, counter=counter, created_at=at)
+def tx(origin, counter, at_us=0):
+    return Transaction(origin=origin, counter=counter, created_us=at_us)
 
 
 def feed_block(replica, txs, now_us=0):
@@ -148,6 +148,12 @@ class TestProposal:
         sends = engine.of_kind(MsgKind.TX_BROADCAST)
         assert len(sends) == 1
         assert engine.sent[0][1] == 0  # primary of view 0
+
+    def test_forward_stamps_the_creation_millisecond(self):
+        backup, engine = make_replica(node=2, n=4)
+        backup.on_transaction(tx(2, 0, at_us=1_001_000), 1_001_000)
+        fwd, = engine.of_kind(MsgKind.TX_BROADCAST)
+        assert fwd.timestamp == 1001
 
     def test_forwarded_transaction_not_reforwarded(self):
         backup, engine = make_replica(node=2, n=4)
@@ -613,11 +619,9 @@ class TestViewChange:
         assert len(fwd) == 1
         assert engine.sent[-1][1] == 1  # sent to the new primary
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "an early view adoption never re-forwards pending transactions: a "
-        "view-bound message adopts the view, so the NEW_VIEW that re-sends "
-        "the mempool is then dropped as stale (FOUND line, ROADMAP item 2)"))
     def test_early_adoption_reforwards_pending_transactions(self):
+        # A PREPARE of view 1 adopts the view; the NEW_VIEW that follows
+        # is stale, so the adoption itself must re-send the mempool.
         backup, engine = make_replica(node=2, n=4)
         backup.on_transaction(tx(2, 0), 0)
         engine.clear()
@@ -632,14 +636,10 @@ class TestViewChange:
                if m.kind == MsgKind.TX_BROADCAST]
         assert fwd == [(1, (2, 0))]  # to the new primary
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the view-change deadline reads a creation time through the float "
-        "created_at and can come out 1 us early (FOUND line, ROADMAP "
-        "item 2)"))
     def test_deadline_keeps_the_creation_microsecond(self):
         backup, _ = make_replica(node=2, n=4)
         created_us = 1_000_001
-        backup.on_transaction(tx(2, 0, at=created_us / 1_000_000), created_us)
+        backup.on_transaction(tx(2, 0, at_us=created_us), created_us)
         assert backup.vc.deadline(backup) == created_us + 30_000_000
 
     @pytest.mark.xfail(strict=True, reason=(

@@ -13,7 +13,7 @@ import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbftsim.wire import (
@@ -71,7 +71,7 @@ def make_protocol_msg(**overrides):
 
 def make_tx_msg(payload_size=1000, **overrides):
     tx = Transaction(origin=2, counter=9, payload_size=payload_size,
-                     created_at=0.5)
+                     created_us=500_000)
     base = dict(kind=MsgKind.TX_BROADCAST, sender=2, recipient=0,
                 view=0, seq=0, tx=tx, timestamp=500)
     base.update(overrides)
@@ -231,10 +231,10 @@ def tx_messages():
     # matches the timestamp field; relays zero it.
     def build(kind, sender, recipient, view, seq, origin, counter,
               payload_size, tx_type, stamp):
-        created = stamp / 1000.0 if kind == MsgKind.TX_BROADCAST else 0.0
+        created = stamp * 1000 if kind == MsgKind.TX_BROADCAST else 0
         tx = Transaction(origin=origin, counter=counter,
                          payload_size=payload_size, tx_type=tx_type,
-                         created_at=created)
+                         created_us=created)
         return Message(kind=kind, sender=sender, recipient=recipient,
                        view=view, seq=seq, tx=tx, timestamp=stamp)
 
@@ -255,6 +255,10 @@ def tx_messages():
 
 @settings(max_examples=200)
 @given(st.one_of(protocol_messages(), tx_messages()))
+# decode restores a forwarded transaction's creation time from the
+# millisecond time stamp.
+@example(make_tx_msg(timestamp=1001, tx=Transaction(
+    origin=2, counter=9, created_us=1_001_000)))
 def test_codec_round_trip(msg):
     frame = encode(msg)
     assert msg.size == expected_size(msg) == len(frame)
@@ -407,12 +411,12 @@ def test_block_digest_rejects_nonpositive_height():
 
 
 def test_tx_id_is_one_tuple_outside_equality():
-    t = Transaction(origin=3, counter=9, created_at=1.5)
+    t = Transaction(origin=3, counter=9, created_us=1_500_000)
     assert t.tx_id == (3, 9)
     assert t.tx_id is t.tx_id
-    twin = Transaction(origin=3, counter=9, created_at=1.5)
+    twin = Transaction(origin=3, counter=9, created_us=1_500_000)
     assert t == twin and hash(t) == hash(twin)
-    assert t != Transaction(origin=3, counter=9, created_at=2.0)
+    assert t != Transaction(origin=3, counter=9, created_us=2_000_000)
     assert "tx_id" not in repr(t)
     with pytest.raises(TypeError):
         Transaction(origin=3, counter=9, tx_id=(0, 0))

@@ -47,12 +47,12 @@ class TestSchedule:
         assert [t.counter for t, _ in history] == list(range(60))
         assert all(t.origin == 7 for t, _ in history)
 
-    def test_created_at_matches_schedule(self):
+    def test_created_us_matches_schedule(self):
         rng = np.random.default_rng(0)
         history = drive(TransactionSource(0, config(2.5, duration_s=60)),
                         rng)
-        assert [t.created_at for t, _ in history] == [
-            2.5 * i for i in range(24)]
+        assert [t.created_us for t, _ in history] == [
+            2_500_000 * i for i in range(24)]
 
     def test_payload_size_applied(self):
         # the implant profile ships 16-byte transactions
@@ -65,8 +65,8 @@ class TestSchedule:
 class TestStagger:
     def test_phases_spread_over_one_period(self):
         cfg = config(5.0)
-        phases = [TransactionSource(k, cfg).phase_s for k in range(4)]
-        assert phases == [0.0, 1.25, 2.5, 3.75]
+        phases = [TransactionSource(k, cfg).phase_us for k in range(4)]
+        assert phases == [0, 1_250_000, 2_500_000, 3_750_000]
 
 
 class TestJitter:

@@ -39,7 +39,7 @@ FAULTS = {
 }
 LAWS = {"uniform": 0.01, "normal": 0.05, "exponential": 0.02}
 BUFFERS_AND_SEEDS = ((None, 1), (1200, 2))
-PINNED = "e4b5764de3eea477aca5bc7bd47ab3b4dacd09a068bc91e4962317f592a6c224"
+PINNED = "703f119df0df90a33ef449cea36ad456292fdac9be8bf3c4e905b3de740f3606"
 
 
 def cells():
