@@ -40,14 +40,13 @@ replica per callback; ``next_tx`` per transaction and
 ``Engine._heap`` stays a heap of ``(at_us, seqno, tag, node,
 payload)`` tuples with ``_EV_ARRIVAL`` marking frames in flight.
 
-Each node draws its random numbers from its own ``NodeStream``.  The
-stream builds its numpy generator on its first draw, so a run that
-draws nothing (no delay law, no jitter) builds none and never imports
-numpy; node i's generator is seeded from ``SeedSequence(seed,
-spawn_key=(i,))``, the i-th child of ``SeedSequence(seed).spawn(n)``.
-The stream draws processing delays a block at a time, one array call
-per block of ``_BLOCK`` rather than one call per delay, while
-``sample_us`` still hands out one delay per call.  A source's jitter
+Node i's random numbers come from ``NodeStream(seed, i)``, which
+builds its numpy generator from ``SeedSequence(seed, spawn_key=(i,))``,
+the i-th child of ``SeedSequence(seed).spawn(n)``, on the node's first
+draw.  Only a delay law or jitter draws, so a run with neither builds
+no generator and never imports numpy, and its seed reaches no event.
+``sample_us`` hands out one delay per call from a block the stream
+draws ``_BLOCK`` at a time with one array call.  A source's jitter
 value is one more draw from the same generator: it follows the blocks
 drawn so far, and the block in hand keeps serving delays, so no drawn
 value is discarded.  In a run with both a delay law and jitter, a
@@ -156,41 +155,25 @@ _BLOCK = 256
 
 
 class NodeStream:
-    """One node's random stream: its generator, and delays drawn ahead.
+    """Node ``node``'s random stream in a run seeded with ``seed``.
 
-    The generator is ``rng``, or, when ``rng`` is None, built on the
-    first draw from ``SeedSequence(seed, spawn_key=(node,))``; until
-    then ``built`` is false and numpy need not be imported.
-
-    ``LatencyModel.sample_us`` takes the node's delays from ``block``
-    one at a time and refills it, when spent, with one array draw of
-    ``_BLOCK`` values by ``draw``, the engine's law
-    (``LatencyModel.draw_us``, or None when there are no delays).
-    Array and scalar draws read the bit generator identically, so
-    without jitter every delay equals a one-at-a-time draw.
-
-    The source's jitter draws through :meth:`uniform`, straight from
-    the generator: the value follows every block drawn so far, and the
-    block in hand keeps serving delays.
+    ``generator()`` builds the numpy generator on its first call, from
+    ``SeedSequence(seed, spawn_key=(node,))``.  ``LatencyModel.sample_us``
+    takes delays from ``block`` one at a time, at ``pos``, and refills
+    it when spent; ``uniform`` draws a source's jitter straight from
+    the generator.
     """
 
-    __slots__ = ("_rng", "_draw", "_seed", "_node", "block", "pos")
+    __slots__ = ("_rng", "_seed", "_node", "block", "pos")
 
-    def __init__(self, rng: np.random.Generator | None, draw,
-                 seed: int = 0, node: int = 0):
-        self._rng = rng
-        self._draw = draw
+    def __init__(self, seed: int, node: int):
+        self._rng = None
         self._seed = seed
         self._node = node
         self.block = array("q")  # delays in us; -1 marks a rejected draw
         self.pos = 0  # draws taken from ``block``
 
-    @property
-    def built(self) -> bool:
-        """Whether the stream has a generator: given, or built by a draw."""
-        return self._rng is not None
-
-    def _generator(self) -> np.random.Generator:
+    def generator(self) -> np.random.Generator:
         rng = self._rng
         if rng is None:
             from numpy.random import SeedSequence, default_rng
@@ -198,15 +181,9 @@ class NodeStream:
                 SeedSequence(self._seed, spawn_key=(self._node,)))
         return rng
 
-    def refill(self) -> array:
-        """Replace the spent block with the next ``_BLOCK`` draws."""
-        self.block = self._draw(self._generator(), _BLOCK)
-        self.pos = 0
-        return self.block
-
     def uniform(self, low: float, high: float) -> float:
         """One ``Generator.uniform`` draw, after the blocks drawn."""
-        return self._generator().uniform(low, high)
+        return self.generator().uniform(low, high)
 
 
 class LatencyModel:
@@ -260,14 +237,17 @@ class LatencyModel:
         return array("q", us.tobytes())
 
     def sample_us(self, stream: NodeStream) -> int:
-        """The next delay in microseconds from a node's stream, which
-        draws with this law."""
+        """The next delay in microseconds from a node's stream.  Array
+        and scalar draws read the bit generator identically, so without
+        jitter every delay equals a one-at-a-time draw."""
         if self.dist == "none":
             return 0
         block, pos = stream.block, stream.pos
         while True:
             if pos == len(block):
-                block, pos = stream.refill(), 0
+                block = stream.block = self.draw_us(stream.generator(),
+                                                    _BLOCK)
+                pos = 0
             value = block[pos]
             pos += 1
             if value >= 0:
@@ -334,11 +314,8 @@ class Engine:
         self._ser_us: dict[int, int] = {}
 
         # One random stream per node, split from the run seed; node i
-        # always consumes stream i regardless of instrumentation.  A
-        # stream builds its generator only when the node first draws.
-        draw = None if latency.is_zero else latency.draw_us
-        self.rngs = [NodeStream(None, draw, seed, node)
-                     for node in range(n)]
+        # always consumes stream i regardless of instrumentation.
+        self.rngs = [NodeStream(seed, node) for node in range(n)]
 
         self.replicas: list = [None] * n
         self.sources: list = [None] * n

@@ -7,9 +7,9 @@ axis index and the repetition counter, so the whole sweep is
 reproducible from a single integer and reruns emit byte-identical
 CSV.  Two-axis sweeps share seeds across the second axis: runs that
 differ only in the second-axis value see identical workloads.  A
-point whose first run draws no random number (no jitter, no delay
-law) runs once: its seed reached no event, so each other repetition
-reuses that run's report and trace hash under its own seed.
+point with no delay law and no jitter draws no random number, so its
+seed reaches no event: it runs once, and each other repetition reuses
+that run's report and trace hash under its own seed.
 
 Presets are sweep definition files shipped with the package, one per
 packaged experiment; ``load_preset`` resolves them by name.
@@ -179,9 +179,8 @@ class SweepResult:
         return out
 
     def mean_total(self, value, value2=None) -> float:
-        import numpy as np
-
-        return float(np.mean(self.totals()[(value, value2)]))
+        totals = self.totals()[(value, value2)]
+        return sum(totals) / len(totals)
 
 
 def run_sweep(spec: SweepSpec, trace: bool = False) -> SweepResult:
@@ -204,15 +203,14 @@ def run_sweep(spec: SweepSpec, trace: bool = False) -> SweepResult:
                 plan.append((value, value2, rep, config))
     result = SweepResult(spec)
     for value, value2, rep, config in plan:
-        if rep and draw_free:
-            # The point's first run drew nothing, so its seed reached no
-            # event: this repetition is that run, echoing its own seed.
+        if rep and config.latency().is_zero and not config.jitter:
+            # The point draws nothing, so its seed reaches no event: this
+            # repetition is its first run, echoing its own seed.
             report = replace(report, summary=dict(report.summary,
                                                   seed=str(config.seed)))
         else:
             run = run_scenario(config, trace=trace)
             report, trace_hash = run.report, run.trace_hash
-            draw_free = not any(stream.built for stream in run.engine.rngs)
             del run  # freed now, not once the next run has been built
         parts = [spec.name, format_value(value)]
         if value2 is not None:
@@ -247,8 +245,6 @@ def _curve_label(run: SweepRun) -> str:
 def emit_plot_data(result: SweepResult) -> str:
     """Wide pivot for plotting: one column per curve (axis point),
     one row per minute, cells are mean committed blocks across reps."""
-    import numpy as np
-
     curves: dict[str, list[list[int]]] = {}
     for run in result.runs:
         series = run.report.minute_blocks
@@ -262,7 +258,7 @@ def emit_plot_data(result: SweepResult) -> str:
         for label in labels:
             reps = curves[label]
             vals = [s[minute] for s in reps if minute < len(s)]
-            cells.append(f"{np.mean(vals):.6f}" if vals else "")
+            cells.append(f"{sum(vals) / len(vals):.6f}" if vals else "")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -415,25 +415,33 @@ def test_crashed_node_timers_do_not_fire():
 
 # --------------------------------------------------------------- samplers
 
+def child_rng(seed, node):
+    """The generator ``NodeStream(seed, node)`` draws from."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(node,)))
+
+
 def test_none_latency_is_zero_and_skips_rng():
     lat = LatencyModel("none")
-    rng = np.random.default_rng(1)
-    state_before = rng.bit_generator.state
-    assert lat.sample_us(NodeStream(rng, None)) == 0
-    assert rng.bit_generator.state == state_before
+    stream = NodeStream(1, 0)
+    assert lat.sample_us(stream) == 0
+    # Nothing was drawn: the stream's first value is the generator's.
+    assert stream.uniform(0.0, 1.0) == child_rng(1, 0).uniform(0.0, 1.0)
 
 
 def test_zero_mean_collapses_to_none():
     lat = LatencyModel("exponential", 0.0)
     assert lat.is_zero
-    assert lat.sample_us(NodeStream(np.random.default_rng(0), None)) == 0
+    stream = NodeStream(0, 0)
+    assert lat.sample_us(stream) == 0
+    assert stream.uniform(0.0, 1.0) == child_rng(0, 0).uniform(0.0, 1.0)
 
 
 @pytest.mark.parametrize("dist", ["uniform", "normal", "exponential"])
 def test_sampler_mean_matches_parameter(dist):
     mean = 0.03
     lat = LatencyModel(dist, mean)
-    stream = NodeStream(np.random.default_rng(42), lat.draw_us)
+    stream = NodeStream(42, 0)
     draws = np.array([lat.sample_us(stream) for _ in range(100_000)])
     assert abs(draws.mean() - mean * US_PER_S) / (mean * US_PER_S) < 0.02
     assert (draws >= 0).all()
@@ -442,7 +450,7 @@ def test_sampler_mean_matches_parameter(dist):
 def test_uniform_support_is_zero_to_twice_mean():
     mean = 0.05
     lat = LatencyModel("uniform", mean)
-    stream = NodeStream(np.random.default_rng(3), lat.draw_us)
+    stream = NodeStream(3, 0)
     draws = np.array([lat.sample_us(stream) for _ in range(50_000)])
     assert draws.max() <= 2 * mean * US_PER_S
     assert draws.min() >= 0
@@ -455,7 +463,7 @@ def test_exponential_cdf_at_mean():
     # P(X <= mean) for an exponential is 1 - 1/e ~ 0.63212.
     mean = 0.02
     lat = LatencyModel("exponential", mean)
-    stream = NodeStream(np.random.default_rng(11), lat.draw_us)
+    stream = NodeStream(11, 0)
     draws = np.array([lat.sample_us(stream) for _ in range(100_000)])
     frac = (draws <= mean * US_PER_S).mean()
     assert abs(frac - (1.0 - np.exp(-1.0))) < 0.01
@@ -464,7 +472,7 @@ def test_exponential_cdf_at_mean():
 def test_normal_spread_is_third_of_mean():
     mean = 0.3
     lat = LatencyModel("normal", mean)
-    stream = NodeStream(np.random.default_rng(5), lat.draw_us)
+    stream = NodeStream(5, 0)
     draws = np.array([lat.sample_us(stream) for _ in range(100_000)])
     sigma_us = mean / 3.0 * US_PER_S
     assert abs(draws.std() - sigma_us) / sigma_us < 0.03
@@ -503,12 +511,12 @@ def test_stream_equals_scalar_draws(dist, jitter):
     # Without jitter every delay equals a one-at-a-time draw.  With it,
     # each jitter value is the generator's next draw after the blocks
     # drawn so far, and the block in hand keeps serving delays.
-    # Generator seed 10 puts a rejected normal draw at the end of a block
+    # Seed 10, node 3 puts a rejected normal draw at the end of a block
     # in both normal cases, so a refill skips it.
     mean = 0.05
     lat = LatencyModel(dist, mean)
-    stream = NodeStream(np.random.default_rng(10), lat.draw_us)
-    ref = np.random.default_rng(10)
+    stream = NodeStream(10, 3)
+    ref = child_rng(10, 3)
     blocks = block_reference(lat, ref)
     gaps = random.Random(12)
     next_jitter = 0
@@ -537,11 +545,9 @@ def test_lazy_generator_is_the_spawned_child(seed):
     for n in (1, 2, 4, 7, 30):
         children = np.random.SeedSequence(seed).spawn(n)
         engine, _ = make_engine(n=n, seed=seed)
-        assert not any(stream.built for stream in engine.rngs)
         for node, child in enumerate(children):
             first = np.random.default_rng(child).uniform(0.0, 1.0)
             assert engine.rngs[node].uniform(0.0, 1.0) == first
-        assert all(stream.built for stream in engine.rngs)
 
 
 def test_unknown_distribution_rejected():

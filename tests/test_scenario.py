@@ -9,7 +9,7 @@ import pytest
 
 from pbftsim.metrics import render_report
 from pbftsim.netsim import (_EV_SERVICE, PROFILES, US_PER_S, LatencyModel,
-                            NodeStream, to_us)
+                            to_us)
 from pbftsim.scenario import (ScenarioConfig, parse_config, parse_config_text,
                               run_scenario)
 from pbftsim.wire import Message, MsgKind, Transaction
@@ -343,19 +343,20 @@ class TestRunGraph:
                                                          monkeypatch):
         # Each node's stream also spends a block before drawing the next:
         # no law here rejects a draw, so a node serving d delays draws
-        # ceil(d / 256) blocks, jitter or not.
+        # ceil(d / 256) blocks from its generator, jitter or not.
         blocks, delays = Counter(), Counter()
-        refill, sample_us = NodeStream.refill, LatencyModel.sample_us
+        draw_us, sample_us = LatencyModel.draw_us, LatencyModel.sample_us
 
-        def counted_refill(stream):
-            blocks[id(stream)] += 1
-            return refill(stream)
+        def counted_draw_us(law, rng, count):
+            blocks[id(rng)] += 1
+            return draw_us(law, rng, count)
 
         def counted_sample_us(law, stream):
-            delays[id(stream)] += 1
-            return sample_us(law, stream)
+            value = sample_us(law, stream)
+            delays[id(stream.generator())] += 1
+            return value
 
-        monkeypatch.setattr(NodeStream, "refill", counted_refill)
+        monkeypatch.setattr(LatencyModel, "draw_us", counted_draw_us)
         monkeypatch.setattr(LatencyModel, "sample_us", counted_sample_us)
         was = gc.isenabled()
         gc.disable()
@@ -363,8 +364,8 @@ class TestRunGraph:
             result = run_scenario(config, trace=True)
             assert any(r.view_adoptions
                        for r in result.replicas) == changes_view
-            for stream, count in blocks.items():
-                assert count <= -(-delays[stream] // 256)
+            for rng, count in blocks.items():
+                assert count <= -(-delays[rng] // 256)
             engine = weakref.ref(result.engine)
             replicas = [weakref.ref(r) for r in result.replicas]
             del result

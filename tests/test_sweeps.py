@@ -3,10 +3,11 @@
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pbftsim import sweeps
-from pbftsim.metrics import render_report
+from pbftsim.metrics import MetricsReport, render_report
 from pbftsim.scenario import (ScenarioConfig, format_value,
                               run_scenario)
 from pbftsim.sweeps import (PRESETS, SweepResult, SweepRun, SweepSpec,
@@ -251,6 +252,20 @@ class TestEmitters:
         assert len(lines) == 3  # header + two minutes
         row = lines[1].split(",")
         assert float(row[1]) > float(row[2])  # smaller blocks: more/minute
+
+    def test_fractional_mean_matches_numpy(self):
+        # Reps with totals 1, 2 and 4 average to 7/3, which no cell
+        # holds exactly: the plain-int mean must print as numpy's does.
+        vals = [1, 2, 4]
+        result = SweepResult(small_spec())
+        for rep, total in enumerate(vals):
+            report = MetricsReport(summary={"committed_blocks": str(total)},
+                                   minutes=[(0, total, 0)], nodes=[])
+            result.runs.append(SweepRun(f"small:2:r{rep}", 2, None, rep,
+                                        rep, report))
+        assert result.mean_total(2) == np.mean(vals)
+        assert emit_plot_data(result).splitlines() == [
+            "minute,2", f"0,{np.mean(vals):.6f}"]
 
 
 class TestLoadStudy:
